@@ -54,7 +54,10 @@ struct TuneResult {
   rt::Status error;
 };
 
-/// Cost callback: simulated cycles of the kernel(s) under `config`.
+/// Cost callback: simulated cycles of the kernel(s) under `config`. It
+/// must be pure and thread-safe: the candidates of one search phase are
+/// measured concurrently, in no fixed order, so the result may depend only
+/// on the `TuneConfig` it receives (engine::measure_aggregation is).
 using TuneObjective = std::function<double(const TuneConfig&)>;
 
 /// One-factor-at-a-time search: lanes first (with grouping at the graph's

@@ -1,23 +1,20 @@
 #include "engine/engine.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <optional>
 #include <type_traits>
 
 #include "core/spfetch/step_index.hpp"
 #include "engine/engine_internal.hpp"
+#include "engine/layers.hpp"
 #include "engine/tune_helper.hpp"
 #include "par/thread_pool.hpp"
 #include "models/gcn_grad.hpp"
 #include "kernels/dense.hpp"
-#include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/lstm.hpp"
-#include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
@@ -28,7 +25,6 @@
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
 #include "rt/validate.hpp"
-#include "tensor/activations.hpp"
 
 namespace gnnbridge::engine {
 
@@ -36,6 +32,7 @@ namespace k = gnnbridge::kernels;
 using baselines::Matrix;
 
 namespace {
+using detail::Pipeline;
 using detail::Workspace;
 using detail::finish;
 using detail::with_engine_overhead;
@@ -859,9 +856,8 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
     return gcn_attempt_sharded(data, run, mode, spec, nshards);
   }
   prof::Span span("OptimizedEngine::run_gcn", "engine");
-  // Fusion gate: the fused pipeline is only taken when the fusion
-  // machinery works; an injected fusion_pass fault degrades to unfused.
-  if (adapter_enabled()) rt::raise_if_armed(rt::kSeamFusionPass, "run_gcn fusion gate");
+  const Pipeline pipe =
+      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gcn fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
   if (feat >= 0) maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
@@ -869,60 +865,15 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = build_tasks(data.csr, feat);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
+  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto bias = ws.from(ctx, run.params->bias[l], "b");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-    if (adapter_enabled()) {
-      // Fused aggregation + bias + activation. With split rows (neighbor
-      // grouping) the epilogue is deferred to a separate kernel — the
-      // fusion pass reports the same boundary (bias_act cannot read
-      // partial atomic sums).
-      const bool inline_ok = !grouped.any_split;
-      k::aggregate_bias_act_fused(ctx, {.graph = &gdev,
-                                        .tasks = grouped.tasks,
-                                        .feat = &t,
-                                        .edge_weight = &norm,
-                                        .bias = &bias,
-                                        .out = &agg,
-                                        .relu = !last,
-                                        .epilogue_inline = inline_ok,
-                                        .lanes = effective_lanes(data.csr, feat),
-                                        .atomic_merge = grouped.any_split,
-                                        .mode = mode});
-      if (!inline_ok) {
-        k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
-      }
-    } else {
-      // Unfused: the frameworks' op-per-kernel sequence — aggregation,
-      // bias add, activation each round-trip the [N, F] tensor.
-      k::SpmmArgs spmm{.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src = &t,
-                       .edge_weight = &norm,
-                       .out = &agg,
-                       .lanes = effective_lanes(data.csr, feat),
-                       .atomic_merge = grouped.any_split,
-                       .mode = mode};
-      k::spmm_node(ctx, spmm);
-      k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = false, .mode = mode,
-                               .name = "bias_add"});
-      if (!last) {
-        k::dense_map(ctx, {.in = &agg,
-                           .out = &agg,
-                           .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                           .flops_per_elem = 1.0,
-                           .mode = mode,
-                           .name = "relu"});
-      }
-    }
-    h = agg;
+    detail::GcnLayer layer =
+        detail::gcn_allocate(ctx, ws, run.params->weight[l], run.params->bias[l], h.rows);
+    detail::transform(ctx, h, layer.w, layer.t, h.rows, mode);
+    detail::gcn_aggregate(ctx, view, norm, layer, pipe, l + 1 == run.params->weight.size());
+    h = layer.agg;
   }
   return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
@@ -956,36 +907,17 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   const bool full = mode == ExecMode::kFull;
   const std::size_t layers = params.weight.size();
 
-  // ---- Forward, caching per-layer activations for backward.
-  std::vector<k::FeatureMat> hs;       // hs[l] = h_l (hs[0] = x)
-  std::vector<k::FeatureMat> ts;       // ts[l] = h_l W_l
-  std::vector<k::FeatureMat> ws_dev;   // device weights
-  std::vector<k::FeatureMat> bs_dev;   // device biases
-  hs.push_back(ws.from(ctx, x, "x"));
+  // ---- Forward on the fused GCN steps, caching every layer for backward.
+  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  std::vector<k::FeatureMat> hs{ws.from(ctx, x, "x")};  // hs[l] = h_l
+  std::vector<detail::GcnLayer> fwd;
   for (std::size_t l = 0; l < layers; ++l) {
-    const bool last = l + 1 == layers;
-    ws_dev.push_back(ws.from(ctx, params.weight[l], "w"));
-    bs_dev.push_back(ws.from(ctx, params.bias[l], "b"));
-    auto t = ws.mat(ctx, hs.back().rows, ws_dev.back().cols, "t");
-    k::dense_gemm(ctx, {.a = &hs.back(), .b = &ws_dev.back(), .c = &t, .mode = mode});
-    ts.push_back(t);
-    auto h_next = ws.mat(ctx, hs.back().rows, ws_dev.back().cols, "h");
-    k::aggregate_bias_act_fused(ctx, {.graph = &gdev,
-                                      .tasks = grouped.tasks,
-                                      .feat = &ts.back(),
-                                      .edge_weight = &norm,
-                                      .bias = &bs_dev.back(),
-                                      .out = &h_next,
-                                      .relu = !last,
-                                      .epilogue_inline = !grouped.any_split,
-                                      .lanes = effective_lanes(data.csr, feat),
-                                      .atomic_merge = grouped.any_split,
-                                      .mode = mode});
-    if (grouped.any_split) {
-      k::bias_act_kernel(ctx, {.bias = &bs_dev.back(), .mat = &h_next, .relu = !last,
-                               .mode = mode});
-    }
-    hs.push_back(h_next);
+    detail::GcnLayer layer =
+        detail::gcn_allocate(ctx, ws, params.weight[l], params.bias[l], hs.back().rows);
+    detail::transform(ctx, hs.back(), layer.w, layer.t, hs.back().rows, mode);
+    detail::gcn_aggregate(ctx, view, norm, layer, Pipeline::kLinear, l + 1 == layers);
+    hs.push_back(layer.agg);
+    fwd.push_back(layer);
   }
 
   TrainResult result;
@@ -1015,7 +947,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                             .phase = "backward"});
     }
     // Bias gradient.
-    auto d_b = ws.mat(ctx, bs_dev[li].rows, 1, "d_b");
+    auto d_b = ws.mat(ctx, fwd[li].b.rows, 1, "d_b");
     k::col_sum(ctx, {.in = &d_h, .out = &d_b, .mode = mode});
     // d_t = A d_pre — the same aggregation kernel, same task schedule.
     auto d_t = ws.mat(ctx, d_h.rows, d_h.cols, "d_t");
@@ -1024,7 +956,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                      .src = &d_h,
                      .edge_weight = &norm,
                      .out = &d_t,
-                     .lanes = effective_lanes(data.csr, feat),
+                     .lanes = view.lanes,
                      .atomic_merge = grouped.any_split,
                      .mode = mode,
                      .name = "aggregate_backward",
@@ -1037,25 +969,25 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
     k::dense_gemm(ctx, {.a = &h_t, .b = &d_t, .c = &d_w, .mode = mode, .name = "gemm_dw",
                         .phase = "backward"});
     // d_h_{l} = d_t W^T.
-    auto w_t = ws.mat(ctx, ws_dev[li].cols, ws_dev[li].rows, "wT");
-    k::dense_transpose(ctx, {.in = &ws_dev[li], .out = &w_t, .mode = mode,
+    auto w_t = ws.mat(ctx, fwd[li].w.cols, fwd[li].w.rows, "wT");
+    k::dense_transpose(ctx, {.in = &fwd[li].w, .out = &w_t, .mode = mode,
                              .phase = "backward"});
     auto d_h_prev = ws.mat(ctx, d_t.rows, w_t.cols, "d_h");
     k::dense_gemm(ctx, {.a = &d_t, .b = &w_t, .c = &d_h_prev, .mode = mode,
                         .name = "gemm_dh", .phase = "backward"});
 
     // SGD update, fused elementwise kernels.
-    k::dense_binary(ctx, {.a = &ws_dev[li],
+    k::dense_binary(ctx, {.a = &fwd[li].w,
                           .b = &d_w,
-                          .out = &ws_dev[li],
+                          .out = &fwd[li].w,
                           .fn = [lr](float w, float g) { return w - lr * g; },
                           .flops_per_elem = 2.0,
                           .mode = mode,
                           .name = "sgd_w",
                           .phase = "backward"});
-    k::dense_binary(ctx, {.a = &bs_dev[li],
+    k::dense_binary(ctx, {.a = &fwd[li].b,
                           .b = &d_b,
-                          .out = &bs_dev[li],
+                          .out = &fwd[li].b,
                           .fn = [lr](float b, float g) { return b - lr * g; },
                           .flops_per_elem = 2.0,
                           .mode = mode,
@@ -1071,8 +1003,8 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
     grads.input = *d_h.host;
     // Publish the updated parameters back to the caller.
     for (std::size_t l = 0; l < layers; ++l) {
-      params.weight[l] = *ws_dev[l].host;
-      params.bias[l] = *bs_dev[l].host;
+      params.weight[l] = *fwd[l].w.host;
+      params.bias[l] = *fwd[l].b.host;
     }
     if (grads_out) *grads_out = std::move(grads);
     result.run.output = *hs.back().host;
@@ -1094,141 +1026,26 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
     return gat_attempt_sharded(data, run, mode, spec, nshards);
   }
   prof::Span span("OptimizedEngine::run_gat", "engine");
-  if (adapter_enabled()) rt::raise_if_armed(rt::kSeamFusionPass, "run_gat fusion gate");
+  const Pipeline pipe =
+      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gat fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
   if (feat >= 0) maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
+  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto al = ws.from(ctx, run.params->att_l[l], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[l], "att_r");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-
-    if (adapter_enabled() && cfg_.use_linear) {
-      // K1: fused score + normalization sum; K2: aggregation with the
-      // postponed division — the two-kernel pipeline of §4.2.
-      k::gat_edge_fused(ctx, {.graph = &gdev,
-                              .tasks = grouped.tasks,
-                              .att_src = &att_src,
-                              .att_dst = &att_dst,
-                              .edge_out = &e,
-                              .vacc_out = &vacc,
-                              .leaky_alpha = alpha,
-                              .atomic_merge = grouped.any_split,
-                              .mode = mode});
-      k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                   .tasks = grouped.tasks,
-                                   .feat = &t,
-                                   .edge_weight = &e,
-                                   .vacc = &vacc,
-                                   .out = &agg,
-                                   .scale_inline = true,
-                                   .lanes = effective_lanes(data.csr, feat),
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = mode});
-    } else if (adapter_enabled()) {
-      // Adapter without the linear property: the normalized weights are
-      // materialized before the aggregation primitive consumes them.
-      k::gat_edge_fused(ctx, {.graph = &gdev,
-                              .tasks = grouped.tasks,
-                              .att_src = &att_src,
-                              .att_dst = &att_dst,
-                              .edge_out = &e,
-                              .vacc_out = nullptr,
-                              .leaky_alpha = alpha,
-                              .mode = mode});
-      k::segment_sum(ctx, {.graph = &gdev,
-                           .tasks = grouped.tasks,
-                           .edge_val = &e,
-                           .node_out = &vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = mode});
-      k::softmax_div_fused(ctx, {.graph = &gdev, .tasks = grouped.tasks, .vacc = &vacc,
-                                 .edge = &e, .mode = mode});
-      k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                   .tasks = grouped.tasks,
-                                   .feat = &t,
-                                   .edge_weight = &e,
-                                   .vacc = nullptr,
-                                   .out = &agg,
-                                   .lanes = effective_lanes(data.csr, feat),
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = mode});
-    } else {
-      // Unoptimized computation graph: the seven-kernel pipeline of
-      // Listing 1 (still honoring the task distribution, so NG/LAS can be
-      // ablated independently of fusion — Table 6's columns).
-      k::u_add_v(ctx, {.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src_scalar = &att_src,
-                       .dst_scalar = &att_dst,
-                       .edge_out = &e,
-                       .mode = mode});
-      k::edge_map(ctx, {.in = &e,
-                        .out = &e,
-                        .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                        .flops_per_elem = 1.0,
-                        .mode = mode,
-                        .name = "leaky_relu"});
-      k::edge_map(ctx, {.in = &e,
-                        .out = &e,
-                        .fn = [](float x) { return std::exp(x); },
-                        .flops_per_elem = 4.0,
-                        .mode = mode,
-                        .name = "exp"});
-      k::segment_sum(ctx, {.graph = &gdev,
-                           .tasks = grouped.tasks,
-                           .edge_val = &e,
-                           .node_out = &vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = mode});
-      auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-      k::broadcast_edge(ctx, {.graph = &gdev, .tasks = grouped.tasks, .node_val = &vacc,
-                              .edge_out = &eacc, .mode = mode});
-      k::edge_binary(ctx, {.a = &e,
-                           .b = &eacc,
-                           .out = &e,
-                           .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                           .flops_per_elem = 1.0,
-                           .mode = mode,
-                           .name = "softmax_div"});
-      k::SpmmArgs spmm{.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src = &t,
-                       .edge_weight = &e,
-                       .out = &agg,
-                       .lanes = effective_lanes(data.csr, feat),
-                       .atomic_merge = grouped.any_split,
-                       .mode = mode,
-                       .name = "u_mul_e_sum"};
-      k::spmm_node(ctx, spmm);
-    }
-    if (!last) {
-      k::dense_map(ctx, {.in = &agg,
-                         .out = &agg,
-                         .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "relu"});
-    }
-    h = agg;
+    detail::GatLayer layer =
+        detail::gat_allocate(ctx, ws, run.params->weight[l], run.params->att_l[l],
+                             run.params->att_r[l], h.rows, num_edges, pipe);
+    detail::transform(ctx, h, layer.w, layer.t, h.rows, mode);
+    detail::gat_aggregate(ctx, view, layer, pipe, run.cfg->leaky_alpha,
+                          l + 1 == run.params->weight.size());
+    h = layer.agg;
   }
   return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
@@ -1244,59 +1061,33 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
                                                  const baselines::MultiHeadGatRun& run,
                                                  ExecMode mode, const sim::DeviceSpec& spec) {
   prof::Span span("OptimizedEngine::run_multihead_gat", "engine");
-  // Each head runs the fused two-kernel graph pipeline; head outputs write
-  // directly into their column slice of the concatenated destination on a
-  // real GPU (strided epilogue stores) — per-head buffers here carry the
-  // identical traffic.
+  // Each head is a last GAT layer on the linear pipeline; head outputs
+  // write directly into their column slice of the concatenated destination
+  // on a real GPU (strided epilogue stores) — per-head buffers here carry
+  // the identical traffic.
   const tensor::Index feat = run.cfg->head_dim;
   maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
+  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   auto x = ws.from(ctx, *run.features, "x");
   Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
   for (int head = 0; head < run.cfg->heads; ++head) {
     const auto h = static_cast<std::size_t>(head);
-    auto w = ws.from(ctx, run.params->weight[h], "w");
-    auto al = ws.from(ctx, run.params->att_l[h], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[h], "att_r");
-    auto t = ws.mat(ctx, x.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, x.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, x.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    auto vacc = ws.mat(ctx, x.rows, 1, "v_acc");
-    auto agg = ws.mat(ctx, x.rows, w.cols, "aggregated");
-    k::gat_edge_fused(ctx, {.graph = &gdev,
-                            .tasks = grouped.tasks,
-                            .att_src = &att_src,
-                            .att_dst = &att_dst,
-                            .edge_out = &e,
-                            .vacc_out = &vacc,
-                            .leaky_alpha = alpha,
-                            .atomic_merge = grouped.any_split,
-                            .mode = mode});
-    k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                 .tasks = grouped.tasks,
-                                 .feat = &t,
-                                 .edge_weight = &e,
-                                 .vacc = &vacc,
-                                 .out = &agg,
-                                 .scale_inline = true,
-                                 .lanes = effective_lanes(data.csr, feat),
-                                 .atomic_merge = grouped.any_split,
-                                 .mode = mode});
+    detail::GatLayer layer =
+        detail::gat_allocate(ctx, ws, run.params->weight[h], run.params->att_l[h],
+                             run.params->att_r[h], x.rows, num_edges, Pipeline::kLinear);
+    detail::transform(ctx, x, layer.w, layer.t, x.rows, mode);
+    detail::gat_aggregate(ctx, view, layer, Pipeline::kLinear, run.cfg->leaky_alpha,
+                          /*last=*/true);
     if (mode == ExecMode::kFull) {
       const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
       for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
-        auto src = agg.host->row(v);
+        auto src = layer.agg.host->row(v);
         auto dst = concat.row(v);
         for (models::Index f = 0; f < run.cfg->head_dim; ++f) dst[off + f] = src[f];
       }

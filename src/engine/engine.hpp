@@ -5,7 +5,7 @@
 //   * locality-aware task scheduling — offline cluster-adjacent task order;
 //   * neighbor grouping — bounded tasks with atomic merge;
 //   * data-visible-range adapter + linear property — fused kernel
-//     pipelines selected by the fusion pass in core/fusion;
+//     pipelines, one per GCN/GAT layer description (engine/layers.hpp);
 //   * sparse fetching + redundancy bypassing — for GraphSAGE-LSTM's
 //     center-neighbor neural operations.
 // Every knob is independently switchable, which is what the ablation

@@ -4,17 +4,18 @@
 // The graph is split into K edge-cut shards (shard::partition_graph); each
 // shard runs on its own simulated device (one SimContext per shard, warm
 // L2 across layers) and the shards execute concurrently as host pool jobs.
-// A GNN layer becomes three steps:
+// A GNN layer runs the steps of layers.hpp, the same kernel sequence the
+// unsharded attempt launches, as three phases:
 //
-//   Phase A  (parallel)  dense transform of the shard's *owned* rows;
+//   Phase A  (parallel)  transform of the shard's *owned* rows;
 //   Exchange (barrier)   ghost rows of the transformed features are copied
 //                        from their owning shard and priced against the
 //                        inter-shard link (DeviceSpec::exchange_*);
-//   Phase B  (parallel)  aggregation over the shard-local CSR — owned rows
+//   Phase B  (parallel)  aggregate over the shard-local CSR — owned rows
 //                        read local + freshly-exchanged ghost rows.
 //
 // Correctness contract: outputs are bit-identical to the unsharded engine.
-// Every kernel here accumulates per output row in within-row CSR edge
+// Every aggregation kernel accumulates per output row in within-row CSR edge
 // order, the shard-local CSR preserves exactly that order (only column ids
 // are remapped), dense ops are row-independent, and the exchange copies
 // identical float bytes — so each owned row sees the same additions in the
@@ -43,7 +44,6 @@
 // Scope: GCN and GAT inference. Training, GraphSAGE and multi-head GAT
 // run unsharded regardless of the shard count.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -56,23 +56,19 @@
 #include "core/balance/neighbor_grouping.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_internal.hpp"
-#include "kernels/dense.hpp"
-#include "kernels/edge_ops.hpp"
-#include "kernels/fused.hpp"
-#include "kernels/sddmm.hpp"
-#include "kernels/spmm.hpp"
+#include "engine/layers.hpp"
 #include "models/common.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
 #include "rt/retry.hpp"
 #include "shard/partition.hpp"
-#include "tensor/activations.hpp"
 
 namespace gnnbridge::engine {
 
 namespace k = gnnbridge::kernels;
 using baselines::Matrix;
+using detail::Pipeline;
 using detail::Workspace;
 using detail::with_engine_overhead;
 
@@ -91,34 +87,6 @@ struct ShardExec {
   k::FeatureMat h;     ///< activations, [num_local, F]
   sim::Cycles last_total = 0.0;
 };
-
-/// Phase makespan: max over shards of the cycles accrued since the last
-/// snapshot (the merged clock advances by the slowest shard; they run
-/// concurrently). Advances the snapshots.
-sim::Cycles take_phase_span(std::vector<ShardExec>& shards) {
-  sim::Cycles span = 0.0;
-  for (ShardExec& se : shards) {
-    const sim::Cycles cur = se.ctx->stats().total_cycles;
-    span = std::max(span, cur - se.last_total);
-    se.last_total = cur;
-  }
-  return span;
-}
-
-/// Runs `body(s)` for every shard concurrently on the host pool. Bodies
-/// adopt a neutral cancel scope: they only touch their own shard's
-/// SimContext, and the *parent* charges the phase makespan at the barrier
-/// (pool workers neither own the caller's deadline scope nor may charge
-/// it). Exceptions (e.g. injected sim_launch faults) surface as the
-/// lowest shard index's failure, matching a sequential loop.
-template <typename Body>
-void parallel_shards(std::size_t shard_count, Body&& body) {
-  par::parallel_chunks(shard_count, /*grain=*/1,
-                       [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                         rt::AdoptScope neutral{rt::ScopeHandle{}};
-                         for (std::size_t s = begin; s < end; ++s) body(s);
-                       });
-}
 
 // ---- Shard-level recovery (DESIGN.md §17) -----------------------------
 
@@ -160,45 +128,7 @@ void note_retry(sim::RunStats& accum, std::string_view seam, std::string what, i
   }
 }
 
-/// One parallel phase with shard-level recovery. shard_compute decisions
-/// are pre-drawn on the parent in shard order — deterministic at any host
-/// thread count — and every body runs regardless (a doomed shard's work is
-/// wasted-but-priced, like a real mid-kernel fault). Failed shards are
-/// then re-executed sequentially on the parent, in shard order, under a
-/// neutral cancel scope (the caller charges the phase makespan at the
-/// barrier); bodies fully overwrite their outputs from inputs the phase
-/// never mutates, so a redo is bit-identical to a clean run. A
-/// non-retryable failure or a spent attempt budget raises StageFailure so
-/// the ladder can fall back to unsharded execution.
-template <typename Body>
-void phase_with_recovery(std::vector<ShardExec>& se, std::size_t nshards, std::size_t layer,
-                         const char* phase_name, sim::RunStats& accum, Body&& body) {
-  std::vector<std::optional<rt::Status>> fail(nshards);
-  std::vector<sim::Cycles> start(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    fail[s] = rt::fire_fault(rt::kSeamShardCompute);
-    start[s] = se[s].ctx->stats().total_cycles;
-  }
-  parallel_shards(nshards, body);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    for (int attempt = 1; fail[s]; ++attempt) {
-      const sim::Cycles wasted = se[s].ctx->stats().total_cycles - start[s];
-      note_wasted(accum, wasted);
-      const std::string what = "layer=" + std::to_string(layer) + " phase=" + phase_name +
-                               " shard=" + std::to_string(s);
-      if (!rt::retryable(*fail[s]) || attempt >= kShardAttemptBudget) {
-        throw rt::StageFailure(
-            std::string(rt::kSeamShardCompute),
-            std::move(*fail[s]).with_context(what + ": shard attempt budget spent"));
-      }
-      note_retry(accum, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
-      start[s] = se[s].ctx->stats().total_cycles;
-      fail[s] = rt::fire_fault(rt::kSeamShardCompute);
-      rt::AdoptScope neutral{rt::ScopeHandle{}};
-      body(s);
-    }
-  }
-}
+// ---- Shard setup --------------------------------------------------------
 
 /// Shard-local LAS order: the global order filtered to the shard's owned
 /// rows (mapped to local ids), with ghost rows appended in ascending order
@@ -228,91 +158,10 @@ void drop_ghost_tasks(core::GroupedTasks& grouped, graph::NodeId num_owned) {
                       grouped.tasks.end());
 }
 
-/// A FeatureMat view restricted to the first `rows` rows of `m` (same
-/// buffer, same host matrix). Kernels size their traces from the view;
-/// host math that consumes the backing Matrix wholesale (dense_gemm) still
-/// sees every row, which is exactly what the transform wants: the sim
-/// prices owned rows only, while ghost rows of the host product are
-/// computed as a side effect and then overwritten by the exchange.
-k::FeatureMat top_rows(const k::FeatureMat& m, tensor::Index rows) {
-  k::FeatureMat v = m;
-  v.rows = rows;
-  return v;
-}
-
-/// Ghost-exchange pricing for one layer: every shard pulls its ghost rows
-/// (`row_bytes` each) from the owners over the inter-shard link, then all
-/// shards rendezvous once.
-sim::Cycles exchange_cost(const sim::DeviceSpec& spec, std::uint64_t ghost_rows,
-                          std::uint64_t row_bytes) {
-  const auto line = static_cast<std::uint64_t>(spec.line_bytes);
-  const std::uint64_t lines_per_row = line > 0 ? (row_bytes + line - 1) / line : 0;
-  return spec.exchange_sync_cycles +
-         static_cast<double>(ghost_rows * lines_per_row) * spec.exchange_cycles_per_line;
-}
-
-/// Copies each shard's ghost rows of the per-shard matrices `mats` from
-/// the owning shard's owned rows (host values; kFull only — traces are
-/// value-independent).
-void exchange_ghosts(const shard::Partition& p, std::vector<k::FeatureMat>& mats) {
-  for (std::size_t s = 0; s < p.shards.size(); ++s) {
-    const shard::Shard& sh = p.shards[s];
-    const graph::NodeId own = sh.num_owned();
-    for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
-      const auto owner = static_cast<std::size_t>(sh.ghost_owner[gi]);
-      const auto src = mats[owner].host->row(sh.ghost_owner_row[gi]);
-      auto dst = mats[s].host->row(own + static_cast<graph::NodeId>(gi));
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-  }
-}
-
-/// One layer's ghost exchange with recovery. The shard_exchange seam fires
-/// on the parent (the exchange is a barrier; the parent owns it); a failed
-/// attempt prices a full exchange — the rendezvous happened and the
-/// payload moved before it was found torn — and the copy is withheld until
-/// an attempt succeeds (the copies themselves are idempotent either way).
-/// Budget exhaustion raises StageFailure(shard_exchange) for the ladder.
-void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat>& mats,
-                            bool full, const sim::DeviceSpec& spec, std::uint64_t ghost_rows,
-                            std::uint64_t row_bytes, std::size_t layer, sim::RunStats& accum,
-                            sim::Cycles& total) {
-  const sim::Cycles xcyc = exchange_cost(spec, ghost_rows, row_bytes);
-  for (int attempt = 1;; ++attempt) {
-    std::optional<rt::Status> fault = rt::fire_fault(rt::kSeamShardExchange);
-    total += xcyc;
-    accum.exchange_cycles += xcyc;
-    accum.exchange_syncs += 1;
-    accum.ghost_bytes += ghost_rows * row_bytes;
-    rt::charge_sim_cycles(xcyc);
-    if (!fault) break;
-    note_wasted(accum, xcyc);
-    const std::string what = "layer=" + std::to_string(layer) + " exchange";
-    if (!rt::retryable(*fault) || attempt >= kShardAttemptBudget) {
-      throw rt::StageFailure(std::string(rt::kSeamShardExchange),
-                             std::move(*fault).with_context(what + ": exchange retry budget spent"));
-    }
-    note_retry(accum, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
-  }
-  if (full) exchange_ghosts(p, mats);
-}
-
-/// Owned-local row of every global node (the owned lists partition the
-/// node set, so one vector serves all shards).
-std::vector<graph::NodeId> owned_local_rows(const shard::Partition& p, graph::NodeId num_nodes) {
-  std::vector<graph::NodeId> owned_local(static_cast<std::size_t>(num_nodes), 0);
-  for (const shard::Shard& sh : p.shards) {
-    for (std::size_t r = 0; r < sh.owned.size(); ++r) {
-      owned_local[static_cast<std::size_t>(sh.owned[r])] = static_cast<graph::NodeId>(r);
-    }
-  }
-  return owned_local;
-}
-
-/// Per-shard device/task setup shared by GCN and GAT: context, local CSR,
-/// task list (grouping bound + LAS order restricted to the shard, ghost
-/// tasks dropped), and the initial activations with input features
-/// replicated to ghost rows (so layer 0 needs no extra exchange for them).
+/// Per-shard device/task setup: context, local CSR, task list (grouping
+/// bound + LAS order restricted to the shard, ghost tasks dropped), and
+/// the initial activations with input features replicated to ghost rows
+/// (so layer 0 needs no extra exchange for them).
 void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& spec,
                 const shard::Partition& p, int s, graph::EdgeId bound,
                 const std::vector<graph::NodeId>& owned_local,
@@ -340,41 +189,213 @@ void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& sp
   }
 }
 
-/// Gathers the owned rows of every shard's final activations back into
-/// global row order.
-Matrix gather_output(const std::vector<ShardExec>& shards, graph::NodeId num_nodes) {
-  Matrix out(num_nodes, shards[0].h.cols);
-  for (const ShardExec& se : shards) {
-    const shard::Shard& sh = *se.sh;
-    for (graph::NodeId r = 0; r < sh.num_owned(); ++r) {
-      const auto src = se.h.host->row(r);
-      auto dst = out.row(sh.owned[static_cast<std::size_t>(r)]);
-      std::copy(src.begin(), src.end(), dst.begin());
+/// One sharded attempt: the partition, the per-shard devices, the launch
+/// knobs every shard shares, and the merged clock (the sum of phase
+/// makespans and exchanges).
+struct ShardedRun {
+  std::shared_ptr<const shard::Partition> plan;
+  sim::DeviceSpec spec;
+  ExecMode mode = ExecMode::kFull;
+  int lanes = 32;
+  std::vector<ShardExec> se;
+  sim::RunStats accum;
+  sim::Cycles total = 0.0;
+
+  /// Sets up every shard. The knobs are resolved by the caller on the
+  /// parent thread: effective_* and the LAS order consult thread-local
+  /// tune/job state that pool workers cannot see.
+  ShardedRun(std::shared_ptr<const shard::Partition> p, const sim::DeviceSpec& device,
+             ExecMode exec, graph::NodeId num_nodes, EdgeId bound, int lane_count,
+             const std::vector<NodeId>* las, const Matrix& x)
+      : plan(std::move(p)), spec(device), mode(exec), lanes(lane_count), se(plan->shards.size()) {
+    // Owned-local row of every global node (the owned lists partition the
+    // node set, so one vector serves all shards).
+    std::vector<NodeId> owned_local(static_cast<std::size_t>(num_nodes), 0);
+    for (const shard::Shard& sh : plan->shards) {
+      for (std::size_t r = 0; r < sh.owned.size(); ++r) {
+        owned_local[static_cast<std::size_t>(sh.owned[r])] = static_cast<NodeId>(r);
+      }
+    }
+    for (std::size_t s = 0; s < se.size(); ++s) {
+      init_shard(se[s], plan->shards[s], spec, *plan, static_cast<int>(s), bound, owned_local, las,
+                 x);
     }
   }
-  return out;
-}
 
-/// Merges per-shard counters into the final run stats: kernel records
-/// append in shard order (deterministic at any thread count), sync counts
-/// add, exchange rendezvous count as global syncs, and the clock is the
-/// phase-makespan sum accumulated by the caller.
-RunResult merge_shards(std::vector<ShardExec>& shards, const sim::DeviceSpec& spec,
-                       sim::RunStats accum, sim::Cycles total, Matrix output) {
-  for (const ShardExec& se : shards) {
-    const sim::RunStats& st = se.ctx->stats();
-    accum.kernels.insert(accum.kernels.end(), st.kernels.begin(), st.kernels.end());
-    accum.global_syncs += st.global_syncs;
+  /// One parallel phase with shard-level recovery. Every shard runs
+  /// `body(s)` concurrently on the host pool under a neutral cancel scope:
+  /// a body only touches its own shard's SimContext, and the parent charges
+  /// the phase makespan at the barrier (end_phase). Exceptions (e.g.
+  /// injected sim_launch faults) surface as the lowest shard index's
+  /// failure, matching a sequential loop. shard_compute decisions are
+  /// pre-drawn on the parent in shard order — deterministic at any host
+  /// thread count — and every body runs regardless (a doomed shard's work
+  /// is wasted-but-priced, like a real mid-kernel fault). Failed shards
+  /// are then re-executed sequentially on the parent, in shard order;
+  /// bodies fully overwrite their outputs from inputs the phase never
+  /// mutates, so a redo is bit-identical to a clean run. A non-retryable
+  /// failure or a spent attempt budget raises StageFailure so the ladder
+  /// can fall back to unsharded execution.
+  template <typename Body>
+  void phase(std::size_t layer, const char* phase_name, Body&& body) {
+    const std::size_t nshards = se.size();
+    std::vector<std::optional<rt::Status>> fail(nshards);
+    std::vector<sim::Cycles> start(nshards);
+    for (std::size_t s = 0; s < nshards; ++s) {
+      fail[s] = rt::fire_fault(rt::kSeamShardCompute);
+      start[s] = se[s].ctx->stats().total_cycles;
+    }
+    par::parallel_chunks(nshards, /*grain=*/1,
+                         [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+                           rt::AdoptScope neutral{rt::ScopeHandle{}};
+                           for (std::size_t s = begin; s < end; ++s) body(s);
+                         });
+    for (std::size_t s = 0; s < nshards; ++s) {
+      for (int attempt = 1; fail[s]; ++attempt) {
+        const sim::Cycles wasted = se[s].ctx->stats().total_cycles - start[s];
+        note_wasted(accum, wasted);
+        const std::string what = "layer=" + std::to_string(layer) + " phase=" + phase_name +
+                                 " shard=" + std::to_string(s);
+        if (!rt::retryable(*fail[s]) || attempt >= kShardAttemptBudget) {
+          throw rt::StageFailure(
+              std::string(rt::kSeamShardCompute),
+              std::move(*fail[s]).with_context(what + ": shard attempt budget spent"));
+        }
+        note_retry(accum, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
+        start[s] = se[s].ctx->stats().total_cycles;
+        fail[s] = rt::fire_fault(rt::kSeamShardCompute);
+        rt::AdoptScope neutral{rt::ScopeHandle{}};
+        body(s);
+      }
+    }
   }
-  accum.global_syncs += accum.exchange_syncs;
-  accum.total_cycles = total;
-  accum.shards = static_cast<int>(shards.size());
-  RunResult r;
-  r.stats = std::move(accum);
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.output = std::move(output);
-  return r;
-}
+
+  /// Closes one parallel phase: the merged clock advances by the slowest
+  /// shard's cycles since the last barrier (shards run concurrently), and
+  /// the parent checks cancellation at the barrier.
+  void end_phase(const std::string& where) {
+    sim::Cycles span = 0.0;
+    for (ShardExec& shard : se) {
+      const sim::Cycles cur = shard.ctx->stats().total_cycles;
+      span = std::max(span, cur - shard.last_total);
+      shard.last_total = cur;
+    }
+    total += span;
+    rt::charge_sim_cycles(span);
+    rt::throw_if_cancelled(where);
+  }
+
+  /// One layer's ghost exchange of the per-shard matrices `mats`, with
+  /// recovery. Every shard pulls its ghost rows from the owners over the
+  /// inter-shard link, then all shards rendezvous once. The shard_exchange
+  /// seam fires on the parent (the exchange is a barrier; the parent owns
+  /// it); a failed attempt prices a full exchange — the rendezvous
+  /// happened and the payload moved before it was found torn — and the
+  /// copy is withheld until an attempt succeeds. Budget exhaustion raises
+  /// StageFailure(shard_exchange) for the ladder.
+  void exchange(std::size_t layer, const std::vector<k::FeatureMat>& mats) {
+    const auto ghost_rows = static_cast<std::uint64_t>(plan->total_ghosts);
+    const std::uint64_t row_bytes = mats[0].row_bytes();
+    const auto line = static_cast<std::uint64_t>(spec.line_bytes);
+    const std::uint64_t lines_per_row = line > 0 ? (row_bytes + line - 1) / line : 0;
+    const sim::Cycles xcyc =
+        spec.exchange_sync_cycles +
+        static_cast<double>(ghost_rows * lines_per_row) * spec.exchange_cycles_per_line;
+    for (int attempt = 1;; ++attempt) {
+      std::optional<rt::Status> fault = rt::fire_fault(rt::kSeamShardExchange);
+      total += xcyc;
+      accum.exchange_cycles += xcyc;
+      accum.exchange_syncs += 1;
+      accum.ghost_bytes += ghost_rows * row_bytes;
+      rt::charge_sim_cycles(xcyc);
+      if (!fault) break;
+      note_wasted(accum, xcyc);
+      const std::string what = "layer=" + std::to_string(layer) + " exchange";
+      if (!rt::retryable(*fault) || attempt >= kShardAttemptBudget) {
+        throw rt::StageFailure(
+            std::string(rt::kSeamShardExchange),
+            std::move(*fault).with_context(what + ": exchange retry budget spent"));
+      }
+      note_retry(accum, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
+    }
+    // Host values only (kFull): traces are value-independent.
+    if (mode != ExecMode::kFull) return;
+    for (std::size_t s = 0; s < se.size(); ++s) {
+      const shard::Shard& sh = plan->shards[s];
+      for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
+        const auto owner = static_cast<std::size_t>(sh.ghost_owner[gi]);
+        const auto src = mats[owner].host->row(sh.ghost_owner_row[gi]);
+        auto dst = mats[s].host->row(sh.num_owned() + static_cast<NodeId>(gi));
+        std::copy(src.begin(), src.end(), dst.begin());
+      }
+    }
+  }
+
+  /// One layer on every shard (layers.hpp's steps). The layer's buffers
+  /// are allocated here on the parent — SimContext/Workspace are
+  /// single-threaded — so the phase bodies only launch kernels and a
+  /// re-executed shard allocates nothing.
+  template <typename Allocate, typename Aggregate>
+  void layer(std::size_t l, const std::string& model, Allocate&& allocate,
+             Aggregate&& aggregate) {
+    std::vector<decltype(allocate(se[0]))> layers;
+    layers.reserve(se.size());
+    for (ShardExec& shard : se) layers.push_back(allocate(shard));
+
+    // Phase A: transform the owned rows; ghost rows of the transformed
+    // features arrive in the exchange.
+    phase(l, "transform", [&](std::size_t s) {
+      detail::transform(*se[s].ctx, se[s].h, layers[s].w, layers[s].t, se[s].sh->num_owned(),
+                        mode);
+    });
+    end_phase("sharded " + model + " transform");
+
+    std::vector<k::FeatureMat> transformed;
+    for (const auto& lay : layers) transformed.push_back(lay.t);
+    exchange(l, transformed);
+    rt::throw_if_cancelled("sharded " + model + " exchange");
+
+    // Phase B: aggregate over the shard-local graph.
+    phase(l, "aggregate", [&](std::size_t s) {
+      aggregate(se[s], detail::GraphView{&se[s].gdev, &se[s].grouped, lanes, mode}, layers[s]);
+    });
+    end_phase("sharded " + model + " aggregate");
+
+    for (std::size_t s = 0; s < se.size(); ++s) se[s].h = layers[s].agg;
+  }
+
+  /// Merges per-shard counters into the final run stats: kernel records
+  /// append in shard order (deterministic at any thread count), sync
+  /// counts add, exchange rendezvous count as global syncs, and the clock
+  /// is the phase-makespan sum. kFull gathers every shard's owned rows
+  /// back into global row order.
+  RunResult finish(graph::NodeId num_nodes) {
+    Matrix output;
+    if (mode == ExecMode::kFull) {
+      output = Matrix(num_nodes, se[0].h.cols);
+      for (const ShardExec& shard : se) {
+        for (graph::NodeId r = 0; r < shard.sh->num_owned(); ++r) {
+          const auto src = shard.h.host->row(r);
+          auto dst = output.row(shard.sh->owned[static_cast<std::size_t>(r)]);
+          std::copy(src.begin(), src.end(), dst.begin());
+        }
+      }
+    }
+    for (const ShardExec& shard : se) {
+      const sim::RunStats& st = shard.ctx->stats();
+      accum.kernels.insert(accum.kernels.end(), st.kernels.begin(), st.kernels.end());
+      accum.global_syncs += st.global_syncs;
+    }
+    accum.global_syncs += accum.exchange_syncs;
+    accum.total_cycles = total;
+    accum.shards = static_cast<int>(se.size());
+    RunResult r;
+    r.stats = std::move(accum);
+    r.ms = spec.millis(r.stats.total_cycles);
+    r.output = std::move(output);
+    return r;
+  }
+};
 
 }  // namespace
 
@@ -443,130 +464,42 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
                                                int shards) {
   prof::Span span("OptimizedEngine::run_gcn_sharded", "engine");
   span.arg("shards", static_cast<double>(shards));
-  const bool fused = adapter_enabled();
-  if (fused) rt::raise_if_armed(rt::kSeamFusionPass, "run_gcn fusion gate");
+  const Pipeline pipe =
+      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gcn fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
   if (feat >= 0) maybe_tune(data.csr, feat, spec);
 
-  const std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const shard::Partition& p = *plan;
-  const auto nshards = static_cast<std::size_t>(p.k);
-  const bool full = mode == ExecMode::kFull;
-
-  // Knobs resolved on the parent thread: effective_* and the LAS order
-  // consult thread-local tune/job state that pool workers cannot see.
+  std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
   const EdgeId bound = effective_bound(data.csr, feat);
   const int lanes = effective_lanes(data.csr, feat);
   const std::vector<NodeId>* las = las_order_for(data.csr, feat);
+  ShardedRun sr(std::move(plan), spec, mode, data.csr.num_nodes, bound, lanes, las, *run.features);
 
-  const std::vector<NodeId> owned_local = owned_local_rows(p, data.csr.num_nodes);
+  // The GCN edge norm uses *global* degrees; gather it through the local
+  // edge -> global edge map so every local edge carries the exact float
+  // the unsharded run multiplies with.
   const std::vector<float> norm_global = models::gcn_edge_norm(data.csr);
-
-  std::vector<ShardExec> se(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const shard::Shard& sh = p.shards[s];
-    init_shard(se[s], sh, spec, p, static_cast<int>(s), bound, owned_local, las, *run.features);
-    // The GCN edge norm uses *global* degrees; gather it through the local
-    // edge -> global edge map so every local edge carries the exact float
-    // the unsharded run multiplies with.
-    std::vector<float> norm_loc(sh.edge_origin.size());
-    for (std::size_t i = 0; i < sh.edge_origin.size(); ++i) {
-      norm_loc[i] = norm_global[static_cast<std::size_t>(sh.edge_origin[i])];
+  for (ShardExec& se : sr.se) {
+    std::vector<float> norm_loc(se.sh->edge_origin.size());
+    for (std::size_t i = 0; i < se.sh->edge_origin.size(); ++i) {
+      norm_loc[i] = norm_global[static_cast<std::size_t>(se.sh->edge_origin[i])];
     }
-    se[s].norm = se[s].ws.from_vec(*se[s].ctx, norm_loc, "gcn_norm");
+    se.norm = se.ws.from_vec(*se.ctx, norm_loc, "gcn_norm");
   }
 
-  sim::RunStats accum;
-  sim::Cycles total = 0.0;
-  const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
-
-  for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    const Matrix& wl = run.params->weight[l];
-    const Matrix& bl = run.params->bias[l];
-    const auto f_out = static_cast<tensor::Index>(wl.cols());
-
-    // Parent-side allocations (SimContext/Workspace are single-threaded;
-    // only kernel launches run inside the parallel phases).
-    std::vector<k::FeatureMat> wdev(nshards), bdev(nshards), tloc(nshards), agg(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      wdev[s] = se[s].ws.from(*se[s].ctx, wl, "w");
-      bdev[s] = se[s].ws.from(*se[s].ctx, bl, "b");
-      tloc[s] = se[s].ws.mat(*se[s].ctx, se[s].sh->local.num_nodes, f_out, "transformed");
-      agg[s] = se[s].ws.mat(*se[s].ctx, se[s].sh->local.num_nodes, f_out, "aggregated");
-    }
-
-    // ---- Phase A: transform the owned rows. The gemm's A and C are
-    // owned-row views: each device transforms only the nodes it owns;
-    // ghost rows of the transformed features arrive via the exchange.
-    phase_with_recovery(se, nshards, l, "transform", accum, [&](std::size_t s) {
-      k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
-      k::FeatureMat tview = top_rows(tloc[s], se[s].sh->num_owned());
-      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &wdev[s], .c = &tview, .mode = mode});
-    });
-    sim::Cycles phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gcn transform");
-
-    // ---- Exchange: ghost rows of the transformed features.
-    const auto row_bytes = static_cast<std::uint64_t>(f_out) * 4;
-    exchange_with_recovery(p, tloc, full, spec, ghost_rows, row_bytes, l, accum, total);
-    rt::throw_if_cancelled("sharded gcn exchange");
-
-    // ---- Phase B: aggregation over the shard-local graph (same kernel
-    // selection as the unsharded attempt).
-    phase_with_recovery(se, nshards, l, "aggregate", accum, [&](std::size_t s) {
-      const core::GroupedTasks& grouped = se[s].grouped;
-      if (fused) {
-        const bool inline_ok = !grouped.any_split;
-        k::aggregate_bias_act_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                                 .tasks = grouped.tasks,
-                                                 .feat = &tloc[s],
-                                                 .edge_weight = &se[s].norm,
-                                                 .bias = &bdev[s],
-                                                 .out = &agg[s],
-                                                 .relu = !last,
-                                                 .epilogue_inline = inline_ok,
-                                                 .lanes = lanes,
-                                                 .atomic_merge = grouped.any_split,
-                                                 .mode = mode});
-        if (!inline_ok) {
-          k::bias_act_kernel(*se[s].ctx,
-                             {.bias = &bdev[s], .mat = &agg[s], .relu = !last, .mode = mode});
-        }
-      } else {
-        k::SpmmArgs spmm{.graph = &se[s].gdev,
-                         .tasks = grouped.tasks,
-                         .src = &tloc[s],
-                         .edge_weight = &se[s].norm,
-                         .out = &agg[s],
-                         .lanes = lanes,
-                         .atomic_merge = grouped.any_split,
-                         .mode = mode};
-        k::spmm_node(*se[s].ctx, spmm);
-        k::bias_act_kernel(*se[s].ctx, {.bias = &bdev[s], .mat = &agg[s], .relu = false,
-                                        .mode = mode, .name = "bias_add"});
-        if (!last) {
-          k::dense_map(*se[s].ctx, {.in = &agg[s],
-                                    .out = &agg[s],
-                                    .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                                    .flops_per_elem = 1.0,
-                                    .mode = mode,
-                                    .name = "relu"});
-        }
-      }
-    });
-    phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gcn aggregate");
-
-    for (std::size_t s = 0; s < nshards; ++s) se[s].h = agg[s];
+  const std::size_t layers = run.params->weight.size();
+  for (std::size_t l = 0; l < layers; ++l) {
+    sr.layer(
+        l, "gcn",
+        [&](ShardExec& se) {
+          return detail::gcn_allocate(*se.ctx, se.ws, run.params->weight[l], run.params->bias[l],
+                                      se.sh->local.num_nodes);
+        },
+        [&](ShardExec& se, const detail::GraphView& g, detail::GcnLayer& layer) {
+          detail::gcn_aggregate(*se.ctx, g, se.norm, layer, pipe, l + 1 == layers);
+        });
   }
-
-  return merge_shards(se, spec, std::move(accum), total,
-                      full ? gather_output(se, data.csr.num_nodes) : Matrix());
+  return sr.finish(data.csr.num_nodes);
 }
 
 RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun& run,
@@ -574,195 +507,33 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
                                                int shards) {
   prof::Span span("OptimizedEngine::run_gat_sharded", "engine");
   span.arg("shards", static_cast<double>(shards));
-  const bool fused = adapter_enabled();
-  if (fused) rt::raise_if_armed(rt::kSeamFusionPass, "run_gat fusion gate");
+  const Pipeline pipe =
+      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gat fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
   if (feat >= 0) maybe_tune(data.csr, feat, spec);
 
-  const std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const shard::Partition& p = *plan;
-  const auto nshards = static_cast<std::size_t>(p.k);
-  const bool full = mode == ExecMode::kFull;
-  const bool linear = fused && cfg_.use_linear;
-  const float alpha = run.cfg->leaky_alpha;
-
+  std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
   const EdgeId bound = effective_bound(data.csr, feat);
   const int lanes = effective_lanes(data.csr, feat);
   const std::vector<NodeId>* las = las_order_for(data.csr, feat);
+  ShardedRun sr(std::move(plan), spec, mode, data.csr.num_nodes, bound, lanes, las, *run.features);
 
-  const std::vector<NodeId> owned_local = owned_local_rows(p, data.csr.num_nodes);
-
-  std::vector<ShardExec> se(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    init_shard(se[s], p.shards[s], spec, p, static_cast<int>(s), bound, owned_local, las,
-               *run.features);
+  // The exchange ships one F-float row per ghost; the aggregate step
+  // recomputes the ghosts' attention scalars locally.
+  const std::size_t layers = run.params->weight.size();
+  for (std::size_t l = 0; l < layers; ++l) {
+    sr.layer(
+        l, "gat",
+        [&](ShardExec& se) {
+          return detail::gat_allocate(*se.ctx, se.ws, run.params->weight[l], run.params->att_l[l],
+                                      run.params->att_r[l], se.sh->local.num_nodes,
+                                      static_cast<tensor::Index>(se.sh->local.num_edges()), pipe);
+        },
+        [&](ShardExec& se, const detail::GraphView& g, detail::GatLayer& layer) {
+          detail::gat_aggregate(*se.ctx, g, layer, pipe, run.cfg->leaky_alpha, l + 1 == layers);
+        });
   }
-
-  sim::RunStats accum;
-  sim::Cycles total = 0.0;
-  const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
-
-  for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    const Matrix& wl = run.params->weight[l];
-    const auto f_out = static_cast<tensor::Index>(wl.cols());
-
-    std::vector<k::FeatureMat> wdev(nshards), aldev(nshards), ardev(nshards), tloc(nshards),
-        asrc(nshards), adst(nshards), e(nshards), vacc(nshards), agg(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const tensor::Index n_loc = se[s].sh->local.num_nodes;
-      wdev[s] = se[s].ws.from(*se[s].ctx, wl, "w");
-      aldev[s] = se[s].ws.from(*se[s].ctx, run.params->att_l[l], "att_l");
-      ardev[s] = se[s].ws.from(*se[s].ctx, run.params->att_r[l], "att_r");
-      tloc[s] = se[s].ws.mat(*se[s].ctx, n_loc, f_out, "transformed");
-      asrc[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "att_src");
-      adst[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "att_dst");
-      e[s] = se[s].ws.mat(*se[s].ctx, static_cast<tensor::Index>(se[s].sh->local.num_edges()), 1,
-                          "e");
-      vacc[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "v_acc");
-      agg[s] = se[s].ws.mat(*se[s].ctx, n_loc, f_out, "aggregated");
-    }
-
-    // ---- Phase A: transform the owned rows.
-    phase_with_recovery(se, nshards, l, "transform", accum, [&](std::size_t s) {
-      k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
-      k::FeatureMat tview = top_rows(tloc[s], se[s].sh->num_owned());
-      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &wdev[s], .c = &tview, .mode = mode});
-    });
-    sim::Cycles phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gat transform");
-
-    // ---- Exchange: ghost rows of the transformed features. The per-node
-    // attention scalars are then recomputed locally over ghost rows
-    // (row_dot below runs on all local rows): row_dot is row-independent,
-    // so the replicated compute is bit-identical to the owner's — and the
-    // exchange ships one F-float row per ghost instead of F + 2 scalars.
-    const auto row_bytes = static_cast<std::uint64_t>(f_out) * 4;
-    exchange_with_recovery(p, tloc, full, spec, ghost_rows, row_bytes, l, accum, total);
-    rt::throw_if_cancelled("sharded gat exchange");
-
-    // ---- Phase B: attention scores + aggregation on the local graph
-    // (same kernel selection as the unsharded attempt).
-    phase_with_recovery(se, nshards, l, "aggregate", accum, [&](std::size_t s) {
-      const core::GroupedTasks& grouped = se[s].grouped;
-      k::row_dot(*se[s].ctx, {.feat = &tloc[s], .vec = &aldev[s], .out = &asrc[s], .mode = mode});
-      k::row_dot(*se[s].ctx, {.feat = &tloc[s], .vec = &ardev[s], .out = &adst[s], .mode = mode});
-      if (linear) {
-        k::gat_edge_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                       .tasks = grouped.tasks,
-                                       .att_src = &asrc[s],
-                                       .att_dst = &adst[s],
-                                       .edge_out = &e[s],
-                                       .vacc_out = &vacc[s],
-                                       .leaky_alpha = alpha,
-                                       .atomic_merge = grouped.any_split,
-                                       .mode = mode});
-        k::gat_aggregate_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                            .tasks = grouped.tasks,
-                                            .feat = &tloc[s],
-                                            .edge_weight = &e[s],
-                                            .vacc = &vacc[s],
-                                            .out = &agg[s],
-                                            .scale_inline = true,
-                                            .lanes = lanes,
-                                            .atomic_merge = grouped.any_split,
-                                            .mode = mode});
-      } else if (fused) {
-        k::gat_edge_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                       .tasks = grouped.tasks,
-                                       .att_src = &asrc[s],
-                                       .att_dst = &adst[s],
-                                       .edge_out = &e[s],
-                                       .vacc_out = nullptr,
-                                       .leaky_alpha = alpha,
-                                       .mode = mode});
-        k::segment_sum(*se[s].ctx, {.graph = &se[s].gdev,
-                                    .tasks = grouped.tasks,
-                                    .edge_val = &e[s],
-                                    .node_out = &vacc[s],
-                                    .atomic_merge = grouped.any_split,
-                                    .mode = mode});
-        k::softmax_div_fused(*se[s].ctx, {.graph = &se[s].gdev, .tasks = grouped.tasks,
-                                          .vacc = &vacc[s], .edge = &e[s], .mode = mode});
-        k::gat_aggregate_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                            .tasks = grouped.tasks,
-                                            .feat = &tloc[s],
-                                            .edge_weight = &e[s],
-                                            .vacc = nullptr,
-                                            .out = &agg[s],
-                                            .lanes = lanes,
-                                            .atomic_merge = grouped.any_split,
-                                            .mode = mode});
-      } else {
-        k::u_add_v(*se[s].ctx, {.graph = &se[s].gdev,
-                                .tasks = grouped.tasks,
-                                .src_scalar = &asrc[s],
-                                .dst_scalar = &adst[s],
-                                .edge_out = &e[s],
-                                .mode = mode});
-        k::edge_map(*se[s].ctx,
-                    {.in = &e[s],
-                     .out = &e[s],
-                     .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                     .flops_per_elem = 1.0,
-                     .mode = mode,
-                     .name = "leaky_relu"});
-        k::edge_map(*se[s].ctx, {.in = &e[s],
-                                 .out = &e[s],
-                                 .fn = [](float x) { return std::exp(x); },
-                                 .flops_per_elem = 4.0,
-                                 .mode = mode,
-                                 .name = "exp"});
-        k::segment_sum(*se[s].ctx, {.graph = &se[s].gdev,
-                                    .tasks = grouped.tasks,
-                                    .edge_val = &e[s],
-                                    .node_out = &vacc[s],
-                                    .atomic_merge = grouped.any_split,
-                                    .mode = mode});
-        k::FeatureMat eacc = se[s].ws.mat(
-            *se[s].ctx, static_cast<tensor::Index>(se[s].sh->local.num_edges()), 1, "e_acc");
-        k::broadcast_edge(*se[s].ctx, {.graph = &se[s].gdev, .tasks = grouped.tasks,
-                                       .node_val = &vacc[s], .edge_out = &eacc, .mode = mode});
-        k::edge_binary(*se[s].ctx,
-                       {.a = &e[s],
-                        .b = &eacc,
-                        .out = &e[s],
-                        .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                        .flops_per_elem = 1.0,
-                        .mode = mode,
-                        .name = "softmax_div"});
-        k::SpmmArgs spmm{.graph = &se[s].gdev,
-                         .tasks = grouped.tasks,
-                         .src = &tloc[s],
-                         .edge_weight = &e[s],
-                         .out = &agg[s],
-                         .lanes = lanes,
-                         .atomic_merge = grouped.any_split,
-                         .mode = mode,
-                         .name = "u_mul_e_sum"};
-        k::spmm_node(*se[s].ctx, spmm);
-      }
-      if (!last) {
-        k::dense_map(*se[s].ctx, {.in = &agg[s],
-                                  .out = &agg[s],
-                                  .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                                  .flops_per_elem = 1.0,
-                                  .mode = mode,
-                                  .name = "relu"});
-      }
-    });
-    phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gat aggregate");
-
-    for (std::size_t s = 0; s < nshards; ++s) se[s].h = agg[s];
-  }
-
-  return merge_shards(se, spec, std::move(accum), total,
-                      full ? gather_output(se, data.csr.num_nodes) : Matrix());
+  return sr.finish(data.csr.num_nodes);
 }
 
 }  // namespace gnnbridge::engine

@@ -1,8 +1,10 @@
 // Fused kernels — the lowered output of the data-visible-range adapter.
 //
-// The fusion pass in core/fusion decides which of the baseline's
-// fine-grained operations can share a kernel once adapters reconcile their
-// data visible ranges (paper §4.2). These are the kernels it lowers to:
+// Which of the baseline's fine-grained operations can share a kernel once
+// adapters reconcile their data visible ranges (paper §4.2) is decided in
+// one place, the optimized engine's layer steps (engine/layers.cpp, whose
+// aggregate step gives the reason for each kernel boundary). These are the
+// kernels they launch:
 //
 //  * `gat_edge_fused`       — u_add_v + leaky_relu + exp in one pass over
 //                             each task's edge range; optionally also

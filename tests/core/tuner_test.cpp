@@ -88,13 +88,16 @@ TEST(Tuner, NegativeProbeAbortsWithStructuredError) {
 
 TEST(Tuner, ProbeFailureMidSearchKeepsLastGoodCandidate) {
   const Csr g = testing::random_graph(50, 6.0, 10);
-  int calls = 0;
-  const TuneResult r = tune_graph_op(g, [&](const TuneConfig&) {
-    return ++calls > 3 ? std::nan("") : static_cast<double>(calls);
+  // A pure objective (probes of one phase run in parallel): the lane
+  // candidates 4, 8, 16 measure 1, 2, 4 cycles and the fourth, 32 lanes,
+  // comes back NaN.
+  const TuneResult r = tune_graph_op(g, [](const TuneConfig& cfg) {
+    return cfg.lanes == 32 ? std::nan("") : static_cast<double>(cfg.lanes) / 4.0;
   });
   EXPECT_FALSE(r.error.ok());
   // The first (cheapest) probe survives as the best seen before the break.
   EXPECT_DOUBLE_EQ(r.best_cycles, 1.0);
+  EXPECT_EQ(r.best.lanes, 4);
   EXPECT_EQ(static_cast<int>(r.history.size()), 3);
 }
 

@@ -2,7 +2,8 @@
 //
 // The full optimized engine (LAS + neighbor grouping + adapter + tuner)
 // must produce byte-identical metrics-v3 documents — every counter, every
-// kernel, every gap attribution — at 1, 2 and 8 host threads. Only
+// kernel, every gap attribution — at 1, 2, 3 and 8 host threads and at the
+// host's hardware concurrency. Only
 // meta.threads (pinned here so the documents compare equal) and wall-clock
 // time may differ. run_batch must likewise match sequential execution.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "graph/datasets.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
+#include "tests/testing/util.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -107,7 +109,7 @@ TEST_F(ThreadCountDeterminism, MetricsDocumentByteIdenticalAt1_2_8Threads) {
   par::set_max_threads(1);
   const std::string serial = run_all_and_serialize();
   ASSERT_FALSE(serial.empty());
-  for (int threads : {2, 8}) {
+  for (int threads : testing::sweep_thread_counts()) {
     par::set_max_threads(threads);
     const std::string parallel = run_all_and_serialize();
     // EXPECT_EQ on the whole document: a counter that drifts with the
@@ -134,9 +136,13 @@ TEST_F(ThreadCountDeterminism, RunBatchMatchesSequentialRuns) {
   baselines::GcnRun gcn{&in.gcn_cfg, &in.gcn_params, &in.x_collab};
   baselines::GatRun gat{&in.gat_cfg, &in.gat_params, &in.x_collab};
   baselines::GcnRun gcn2{&in.gcn_cfg, &in.gcn_params, &in.x_arxiv};
-  jobs[0] = {.data = &in.collab, .gcn = &gcn, .spec = sim::v100()};
-  jobs[1] = {.data = &in.collab, .gat = &gat, .spec = sim::v100()};
-  jobs[2] = {.data = &in.arxiv, .gcn = &gcn2, .spec = sim::v100()};
+  jobs[0].data = &in.collab;
+  jobs[0].gcn = &gcn;
+  jobs[1].data = &in.collab;
+  jobs[1].gat = &gat;
+  jobs[2].data = &in.arxiv;
+  jobs[2].gcn = &gcn2;
+  for (OptimizedEngine::BatchJob& job : jobs) job.spec = sim::v100();
   const std::vector<baselines::RunResult> batched = batch_engine.run_batch(jobs);
   ASSERT_EQ(batched.size(), 3u);
 

@@ -151,7 +151,9 @@ TEST_F(ShardDeterminism, ExchangeCountersPriced) {
 
 TEST_F(ShardDeterminism, ShardsClampToNodeCount) {
   // More shards than nodes: the plan clamps, the run still matches.
-  const graph::Dataset tiny{.name = "tiny", .csr = testing::random_graph(12, 3.0, 9)};
+  graph::Dataset tiny;
+  tiny.name = "tiny";
+  tiny.csr = testing::random_graph(12, 3.0, 9);
   models::GcnConfig cfg;
   cfg.dims = {8, 4};
   const models::GcnParams params = models::init_gcn(cfg, 3);
@@ -167,7 +169,8 @@ TEST_F(ShardDeterminism, ShardsClampToNodeCount) {
 
 // ---- Thread-count determinism: the full metrics document of a sharded
 // run — every per-shard kernel record, every exchange counter, the gap
-// attribution — must be byte-identical at 1, 2 and 8 host threads.
+// attribution — must be byte-identical at 1, 2, 3 and 8 host threads and
+// at the host's hardware concurrency.
 
 std::string run_sharded_and_serialize() {
   const Inputs& in = inputs();
@@ -205,7 +208,7 @@ TEST_F(ShardDeterminism, MetricsDocumentByteIdenticalAt1_2_8Threads) {
   const std::string serial = run_sharded_and_serialize();
   ASSERT_FALSE(serial.empty());
   EXPECT_NE(serial.find("ghost_bytes"), std::string::npos);
-  for (int threads : {2, 8}) {
+  for (int threads : testing::sweep_thread_counts()) {
     par::set_max_threads(threads);
     const std::string parallel = run_sharded_and_serialize();
     EXPECT_EQ(parallel, serial) << "at " << threads << " threads";

@@ -1,6 +1,8 @@
 // Shared test fixtures and builders.
 #pragma once
 
+#include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -45,6 +47,17 @@ inline Csr star_graph(NodeId n) {
 inline Csr random_graph(NodeId n, double avg_degree, std::uint64_t seed) {
   Rng rng(seed);
   return graph::csr_from_coo(graph::erdos_renyi(n, avg_degree, rng));
+}
+
+/// Host pool sizes a determinism sweep compares against a one-thread run:
+/// 2, 3 and 8 plus this host's hardware concurrency, deduplicated.
+inline std::vector<int> sweep_thread_counts() {
+  std::vector<int> counts = {2, 3, 8};
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  if (hw > 1 && std::find(counts.begin(), counts.end(), hw) == counts.end()) {
+    counts.push_back(hw);
+  }
+  return counts;
 }
 
 /// Random matrix filled from `seed`.
