@@ -3,7 +3,8 @@
 // These measure the *host cost of the simulation itself* — how fast the
 // trace replay and scheduling run — so contributors can see what a
 // simulated kernel launch costs them in wall-clock time and spot
-// regressions in the simulator hot paths.
+// regressions in the simulator hot paths. BM_HostGemm adds the host
+// arithmetic of a kFull GEMM on top of its replay.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -12,6 +13,7 @@
 #include "graph/datasets.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/spmm.hpp"
+#include "tensor/rng.hpp"
 
 using namespace gnnbridge;
 
@@ -57,6 +59,31 @@ void BM_GemmReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmReplay)->Arg(4096)->Arg(16384);
+
+/// The paper's GCN layer GEMMs on 20000 rows ([K] x [N] per argument pair),
+/// in kFull: the host product (tensor::gemm_rows over parallel row chunks)
+/// plus the same trace and replay BM_GemmReplay times alone. Items are
+/// FLOPs, so items_per_second reads as FLOP/s.
+void BM_HostGemm(benchmark::State& state) {
+  constexpr tensor::Index kRows = 20000;
+  const tensor::Index kdim = state.range(0), n = state.range(1);
+  tensor::Rng rng(7);
+  tensor::Matrix a_host(kRows, kdim), b_host(kdim, n), c_host(kRows, n);
+  tensor::fill_uniform(a_host, rng);
+  tensor::fill_uniform(b_host, rng);
+  for (auto _ : state) {
+    sim::SimContext ctx(sim::v100());
+    auto a = kernels::device_mat(ctx, a_host, "a");
+    auto b = kernels::device_mat(ctx, b_host, "b");
+    auto c = kernels::device_mat(ctx, c_host, "c");
+    benchmark::DoNotOptimize(kernels::dense_gemm(ctx, {.a = &a, .b = &b, .c = &c}).cycles);
+    benchmark::DoNotOptimize(c_host.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRows * kdim * n);
+}
+BENCHMARK(BM_HostGemm)->Args({512, 128})->Args({128, 64})->Args({64, 32})->Unit(
+    benchmark::kMillisecond);
 
 void BM_LasOfflinePass(benchmark::State& state) {
   const graph::Dataset& d = collab();

@@ -14,11 +14,10 @@ namespace gnnbridge::engine::detail {
 
 namespace {
 /// A view of the first `rows` rows of `m` (same buffer, same host matrix).
-/// Kernels size their traces from the view; host math that consumes the
-/// backing Matrix wholesale (dense_gemm) still sees every row, which is
-/// what a shard's transform wants: the sim prices owned rows only, while
-/// ghost rows of the host product are computed as a side effect and then
-/// overwritten by the exchange.
+/// Kernels size both their traces and their host math from the view, which
+/// is what a shard's transform wants: the sim prices and dense_gemm
+/// computes the owned rows only, and the ghost rows behind them are left
+/// for the exchange to write.
 k::FeatureMat top_rows(const k::FeatureMat& m, tensor::Index rows) {
   k::FeatureMat v = m;
   v.rows = rows;

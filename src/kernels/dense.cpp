@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "par/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace gnnbridge::kernels {
@@ -14,6 +15,9 @@ namespace {
 /// effective GEMM throughput.
 constexpr Index kTile = 32;
 constexpr double kBlockSetupCycles = 40.0;
+/// Rows per parallel chunk of the host GEMMs. Fixed: a row's arithmetic
+/// never depends on its chunk, and neither do the outputs.
+constexpr std::size_t kHostGemmRows = 64;
 
 /// Emits the trace of one [tile_m x tile_n] output tile of a GEMM whose
 /// A-rows resolve through `a_row_addr`. Returns the block.
@@ -62,12 +66,17 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
       args.mode == ExecMode::kFull && args.a->host && args.b->host && args.c->host;
 
   if (full) {
-    Matrix prod = tensor::gemm(*args.a->host, *args.b->host);
-    if (args.accumulate) {
-      tensor::axpy(*args.c->host, 1.0f, prod);
-    } else {
-      *args.c->host = std::move(prod);
-    }
+    // Only the view's rows: a shard's view ends at its owned rows, and the
+    // ghost rows behind them are the exchange's to write.
+    const Matrix& a = *args.a->host;
+    const Matrix& b = *args.b->host;
+    Matrix& c = *args.c->host;
+    assert(a.rows() >= m && a.cols() == kdim && c.rows() >= m && c.cols() == n);
+    par::parallel_chunks(static_cast<std::size_t>(m), kHostGemmRows,
+                         [&](std::size_t, std::size_t begin, std::size_t end) {
+                           tensor::gemm_rows(a, b, c, static_cast<Index>(begin),
+                                             static_cast<Index>(end), args.accumulate);
+                         });
   }
 
   sim::Kernel k;
@@ -98,19 +107,27 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
       args.mode == ExecMode::kFull && args.feat->host && args.b->host && args.c->host;
 
   if (full) {
-    // Gather-on-the-fly GEMM: logical A row i is feat[row_index[i]].
-    Matrix gathered(m, kdim);
-    for (Index i = 0; i < m; ++i) {
-      auto src = args.feat->host->row(args.row_index[static_cast<std::size_t>(i)]);
-      auto dst = gathered.row(i);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-    Matrix prod = tensor::gemm(gathered, *args.b->host);
-    if (args.accumulate) {
-      tensor::axpy(*args.c->host, 1.0f, prod);
-    } else {
-      *args.c->host = std::move(prod);
-    }
+    // Gather-on-the-fly GEMM: logical A row i is feat[row_index[i]]. Each
+    // chunk gathers only its own rows.
+    const Matrix& feat = *args.feat->host;
+    Matrix& c = *args.c->host;
+    assert(feat.cols() == kdim && c.rows() >= m && c.cols() == n);
+    par::parallel_chunks(
+        static_cast<std::size_t>(m), kHostGemmRows,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          const auto rows = static_cast<Index>(end - begin);
+          Matrix gathered(rows, kdim);
+          for (Index r = 0; r < rows; ++r) {
+            auto src = feat.row(args.row_index[begin + static_cast<std::size_t>(r)]);
+            std::copy(src.begin(), src.end(), gathered.row(r).begin());
+          }
+          tensor::gemm_rows(std::span<const float>(gathered.data(),
+                                                   static_cast<std::size_t>(gathered.size())),
+                            *args.b->host,
+                            std::span<float>(c.data() + static_cast<Index>(begin) * n,
+                                             static_cast<std::size_t>(rows * n)),
+                            args.accumulate);
+        });
   }
 
   sim::Kernel k;

@@ -1,10 +1,13 @@
 // Dense neural-operation kernels (the cuBLAS/cuDNN stand-ins).
 //
 // GEMMs, bias + activation, and row-vector dot products. These carry the
-// compute-heavy side of GNN layers; their traces are tile-granular (a
-// 64x64x64-tiled GEMM) which is all the cache model needs — dense ops are
-// compute-bound and their role in the paper's story is their *cost* and
-// their *count* (redundant O(E) transformations, Observation 4).
+// compute-heavy side of GNN layers; their traces are tile-granular (32x32
+// output tiles walking k in 32-wide steps) which is all the cache model
+// needs — dense ops are compute-bound and their role in the paper's story
+// is their *cost* and their *count* (redundant O(E) transformations,
+// Observation 4). On the host, the GEMMs compute exactly the rows their
+// views cover with tensor::gemm_rows, in parallel over fixed 64-row chunks;
+// the result is bit-identical to tensor::gemm_ref at any thread count.
 #pragma once
 
 #include <functional>
@@ -13,7 +16,9 @@
 
 namespace gnnbridge::kernels {
 
-/// C = A * B (+ C if accumulate). A: [M, K], B: [K, N], C: [M, N].
+/// C = A * B (+ C if accumulate). A: [M, K], B: [K, N], C: [M, N], where M
+/// is the views' row count: the host matrices may hold more rows, which are
+/// left untouched.
 struct GemmArgs {
   const FeatureMat* a = nullptr;
   const FeatureMat* b = nullptr;

@@ -1,9 +1,12 @@
 // Dense linear-algebra building blocks (the cuBLAS stand-in).
 //
 // Two GEMM implementations are provided: a straightforward reference used by
-// tests as ground truth, and a cache-blocked version used by the models and
-// the benchmark harness. Both are single-threaded by design — parallelism in
-// this repository lives in the simulated GPU, not in host threads.
+// tests as ground truth, and a register-blocked version used by the models,
+// the kernels and the benchmark harness. The blocked version forms every
+// c(i,j) as the reference does (0.0f plus a(i,k)*b(k,j) for k = 0..K-1 in
+// order, no FP contraction), so the two are bit-identical. Everything here
+// runs on the calling thread; kernels::dense_gemm parallelizes over disjoint
+// row ranges through gemm_rows.
 #pragma once
 
 #include <span>
@@ -15,8 +18,20 @@ namespace gnnbridge::tensor {
 /// C = A * B. Triple-loop reference implementation (ground truth for tests).
 Matrix gemm_ref(const Matrix& a, const Matrix& b);
 
-/// C = A * B, cache-blocked (i-k-j loop order with 64x64x64 tiles).
+/// C = A * B: gemm_rows over every row. Bit-identical to gemm_ref.
 Matrix gemm(const Matrix& a, const Matrix& b);
+
+/// Rows [row_begin, row_end) of A * B, written into the preallocated `c`
+/// (c.cols() == b.cols(), c.rows() >= row_end); with `accumulate`, each
+/// product element is added to what `c` holds. Rows of `c` outside the
+/// range are untouched, so callers may fill disjoint ranges concurrently.
+void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c, Index row_begin, Index row_end,
+               bool accumulate = false);
+
+/// The same on contiguous row-major blocks: `a` holds R rows of b.rows()
+/// floats and `c` R rows of b.cols() floats.
+void gemm_rows(std::span<const float> a, const Matrix& b, std::span<float> c,
+               bool accumulate = false);
 
 /// C = A * B^T. Needed by attention-style edge ops (<W_l h_u, W_r h_v>).
 Matrix gemm_nt(const Matrix& a, const Matrix& b);

@@ -23,7 +23,29 @@ TEST(DenseGemm, MatchesHostGemm) {
   auto b = device_mat(h.ctx, b_host, "b");
   auto c = device_mat(h.ctx, c_host, "c");
   dense_gemm(h.ctx, {.a = &a, .b = &b, .c = &c});
-  EXPECT_TRUE(tensor::allclose(c_host, tensor::gemm_ref(a_host, b_host), 1e-3f, 1e-4f));
+  EXPECT_EQ(c_host, tensor::gemm_ref(a_host, b_host));
+}
+
+TEST(DenseGemm, WritesOnlyTheViewsRows) {
+  // A shard's transform view covers its owned rows; the host matrices
+  // behind it also hold ghost rows, which the GEMM must leave alone.
+  DenseHarness h;
+  Matrix a_host = random_matrix(150, 24, 21);
+  Matrix b_host = random_matrix(24, 40, 22);
+  Matrix c_host(150, 40);
+  c_host.fill(-3.0f);
+  auto a = device_mat(h.ctx, a_host, "a");
+  auto b = device_mat(h.ctx, b_host, "b");
+  auto c = device_mat(h.ctx, c_host, "c");
+  a.rows = 97;
+  c.rows = 97;
+  dense_gemm(h.ctx, {.a = &a, .b = &b, .c = &c});
+  const Matrix full = tensor::gemm_ref(a_host, b_host);
+  for (Index i = 0; i < c_host.rows(); ++i) {
+    for (Index j = 0; j < c_host.cols(); ++j) {
+      EXPECT_EQ(c_host(i, j), i < 97 ? full(i, j) : -3.0f) << "i=" << i << " j=" << j;
+    }
+  }
 }
 
 TEST(DenseGemm, AccumulateAddsToC) {
@@ -38,7 +60,7 @@ TEST(DenseGemm, AccumulateAddsToC) {
   dense_gemm(h.ctx, {.a = &a, .b = &b, .c = &c, .accumulate = true});
   Matrix expect = tensor::gemm_ref(a_host, b_host);
   for (Index i = 0; i < expect.size(); ++i) expect.data()[i] += 1.0f;
-  EXPECT_TRUE(tensor::allclose(c_host, expect, 1e-3f, 1e-4f));
+  EXPECT_EQ(c_host, expect);
 }
 
 TEST(DenseGemm, BlockCountIsTileGrid) {
@@ -80,7 +102,30 @@ TEST(SparseFetchGemm, MatchesGatherThenGemm) {
     auto dst = gathered.row(static_cast<Index>(i));
     std::copy(src.begin(), src.end(), dst.begin());
   }
-  EXPECT_TRUE(tensor::allclose(c_host, tensor::gemm_ref(gathered, b_host), 1e-3f, 1e-4f));
+  EXPECT_EQ(c_host, tensor::gemm_ref(gathered, b_host));
+}
+
+TEST(SparseFetchGemm, BitEqualToGatherThenReferenceAcrossChunks) {
+  // More rows than one 64-row host chunk, and widths off the 16-column
+  // register block.
+  DenseHarness h;
+  Matrix feat_host = random_matrix(90, 33, 23);
+  Matrix b_host = random_matrix(33, 21, 24);
+  std::vector<graph::NodeId> index;
+  for (int i = 0; i < 203; ++i) index.push_back(static_cast<graph::NodeId>((i * 37 + 5) % 90));
+  Matrix c_host(static_cast<Index>(index.size()), 21);
+  auto feat = device_mat(h.ctx, feat_host, "feat");
+  auto b = device_mat(h.ctx, b_host, "b");
+  auto c = device_mat(h.ctx, c_host, "c");
+  auto idx_buf = h.ctx.mem().alloc("idx", index.size() * 4);
+  sparse_fetch_gemm(h.ctx, {.feat = &feat, .row_index = index, .index_buf = idx_buf, .b = &b,
+                            .c = &c});
+  Matrix gathered(static_cast<Index>(index.size()), 33);
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    auto src = feat_host.row(index[i]);
+    std::copy(src.begin(), src.end(), gathered.row(static_cast<Index>(i)).begin());
+  }
+  EXPECT_EQ(c_host, tensor::gemm_ref(gathered, b_host));
 }
 
 TEST(SparseFetchGemm, NoExpansionBufferAllocated) {

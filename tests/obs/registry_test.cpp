@@ -12,6 +12,7 @@
 
 #include "obs/prometheus.hpp"
 #include "par/thread_pool.hpp"
+#include "tests/testing/util.hpp"
 
 namespace gnnbridge::obs {
 namespace {
@@ -72,12 +73,16 @@ TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
   EXPECT_EQ(reg.counter_value("parallel.adds"), 10000u);
 }
 
+// Despite the name, the sweep covers 1 thread then every count of
+// testing::sweep_thread_counts(): 2, 3, 8 and the hardware concurrency.
 TEST_F(RegistryTest, ObserveParallelIsByteIdenticalAt1_2_8Threads) {
   const auto value = [](std::size_t i) {
     return static_cast<double>(1 + (i * 131) % 100000);
   };
+  std::vector<int> counts = {1};
+  for (int t : testing::sweep_thread_counts()) counts.push_back(t);
   std::string expected;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : counts) {
     par::set_max_threads(threads);
     TelemetryRegistry::instance().clear();
     observe_parallel("par.latency", 5000, value, /*grain=*/128);

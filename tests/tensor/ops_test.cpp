@@ -31,16 +31,15 @@ TEST(Gemm, IdentityIsNoop) {
   EXPECT_TRUE(allclose(gemm(a, eye), a));
 }
 
-/// Blocked GEMM must match the reference for shapes around the 64-tile
-/// boundary — the classic off-by-one territory.
+/// Blocked GEMM must match the reference bit for bit on assorted shapes,
+/// tile multiples and off-by-ones included.
 class GemmShapes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(GemmShapes, BlockedMatchesReference) {
   auto [m, k, n] = GetParam();
   Matrix a = random(m, k, 10 + m);
   Matrix b = random(k, n, 20 + n);
-  EXPECT_TRUE(allclose(gemm(a, b), gemm_ref(a, b), 1e-3f, 1e-4f))
-      << "m=" << m << " k=" << k << " n=" << n;
+  EXPECT_EQ(gemm(a, b), gemm_ref(a, b)) << "m=" << m << " k=" << k << " n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(TileBoundaries, GemmShapes,
@@ -48,6 +47,46 @@ INSTANTIATE_TEST_SUITE_P(TileBoundaries, GemmShapes,
                                            std::tuple{64, 64, 64}, std::tuple{65, 63, 64},
                                            std::tuple{128, 32, 16}, std::tuple{7, 129, 5},
                                            std::tuple{100, 100, 100}, std::tuple{1, 200, 3}));
+
+/// The register block is 4 rows by 16 columns; every shape here straddles
+/// one of its edges. Each c(i,j) sums a(i,k)*b(k,j) from 0.0f in k order,
+/// exactly as the reference does, so the results are equal, not close.
+TEST(Gemm, BitIdenticalToReference) {
+  for (Index m : {0, 1, 3, 4, 5, 67}) {
+    for (Index n : {1, 15, 16, 17, 130}) {
+      for (Index k : {1, 33, 512}) {
+        Matrix a = random(m, k, static_cast<std::uint64_t>(100 + m * 7 + k));
+        Matrix b = random(k, n, static_cast<std::uint64_t>(200 + n * 11 + k));
+        EXPECT_EQ(gemm(a, b), gemm_ref(a, b)) << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(Gemm, RowsSubRangeLeavesOtherRowsUntouched) {
+  Matrix a = random(23, 40, 31);
+  Matrix b = random(40, 19, 32);
+  const Matrix full = gemm_ref(a, b);
+  Matrix c(23, 19);
+  c.fill(-7.0f);
+  gemm_rows(a, b, c, 5, 14);
+  for (Index i = 0; i < c.rows(); ++i) {
+    for (Index j = 0; j < c.cols(); ++j) {
+      const float expect = (i >= 5 && i < 14) ? full(i, j) : -7.0f;
+      EXPECT_EQ(c(i, j), expect) << "i=" << i << " j=" << j;
+    }
+  }
+}
+
+TEST(Gemm, RowsAccumulateAddsTheProduct) {
+  Matrix a = random(9, 21, 33);
+  Matrix b = random(21, 18, 34);
+  Matrix c = random(9, 18, 35);
+  Matrix expect = c;
+  axpy(expect, 1.0f, gemm_ref(a, b));
+  gemm_rows(a, b, c, 0, a.rows(), /*accumulate=*/true);
+  EXPECT_EQ(c, expect);
+}
 
 TEST(GemmNt, MatchesExplicitTranspose) {
   Matrix a = random(13, 7, 3);

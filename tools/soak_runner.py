@@ -7,11 +7,12 @@ matrix is survivable (the degradation ladder or retry absorbs the
 injected faults), so the expected survival is 100% across the board; any
 lower figure, hang, or non-zero exit fails the run.
 
-With --check-determinism, each plan is additionally run at 1, 2 and 8
-host threads with --pin-meta and the three metrics files AND the three
-event-journal files are compared byte for byte (the DESIGN.md SS11-SS13
-contract: robustness counters, telemetry and journal seq numbers are
-sim-time functions, never wall-time or thread-count functions). Each
+With --check-determinism, each plan is additionally run at 1, 2, 3 and 8
+host threads and at the host's hardware concurrency (SWEEP_THREADS) with
+--pin-meta, and the metrics files AND the event-journal files are compared
+byte for byte (the DESIGN.md SS11-SS13 contract: robustness counters,
+telemetry and journal seq numbers are sim-time functions, never wall-time
+or thread-count functions). Each
 determinism run also arms the flight recorder and runs `gnnbridge_cli
 triage` on its artifacts: the triage stdout (which asserts the DESIGN.md
 SS15 critical-path invariant) and any postmortem dump are byte-compared
@@ -28,13 +29,13 @@ contract verdict (exit 0), a shed rate inside [--shed-min, --shed-max]
 percent, and a completely clean steady tenant (no sheds, no rejects) —
 all of the dropped load must land on the out-of-quota burst tenant.
 --check-determinism applies to the overload phase too (metrics AND
-journal byte-compared across 1/2/8 threads).
+journal byte-compared across the SWEEP_THREADS counts).
 
 With --chaos, the fault matrix is replaced by the chaos phase: one
 `soak --chaos` run (the DESIGN.md SS17 recovery-contract sweep over every
 fault seam, shard seams at K=4), asserting the CLI's contract verdict
 (exit 0 and the "chaos contract: held" line). --check-determinism
-re-runs the sweep at 1, 2 and 8 host threads and byte-compares the
+re-runs the sweep at every SWEEP_THREADS count and byte-compares the
 metrics, journal AND flight-recorder postmortem (the persistent shard
 arms trigger a shard_fallback dump) across thread counts.
 
@@ -59,6 +60,12 @@ import os
 import re
 import subprocess
 import sys
+
+# Host thread counts --check-determinism compares: 1, 2, 3 and 8 plus the
+# hardware concurrency (the pool's default), each once. 3 is there because
+# order-dependent bugs can hide at powers of two.
+SWEEP_THREADS = sorted({1, 2, 3, 8, os.cpu_count() or 1})
+SWEEP_LABEL = "/".join(str(t) for t in SWEEP_THREADS)
 
 # Plans the resilient engine must absorb without losing a job: no faults,
 # a bounded tuner-probe burst (auto_tune degrades per job), a LAS failure
@@ -201,7 +208,7 @@ def chaos_phase(args):
     if not args.check_determinism:
         return True
     metrics_paths, journal_paths, postmortem_paths = [], [], []
-    for t in (1, 2, 8):
+    for t in SWEEP_THREADS:
         stem = os.path.join(args.work_dir, f"chaos_t{t}")
         code, out = run_chaos(args, threads=t, metrics=stem + ".json",
                               journal=stem + ".jsonl",
@@ -262,7 +269,7 @@ def compare_artifacts(name, kinds):
             ok = False
             continue
         if all(filecmp.cmp(paths[0], p, shallow=False) for p in paths[1:]):
-            print(f"  {name:<16} {what} byte-identical at 1/2/8 threads")
+            print(f"  {name:<16} {what} byte-identical at {SWEEP_LABEL} threads")
         else:
             print(f"  {name:<16} FAIL: {what} differ across thread counts")
             ok = False
@@ -309,7 +316,7 @@ def overload_phase(args):
     if not args.check_determinism:
         return True
     metrics_paths, journal_paths, postmortem_paths, triage_paths = [], [], [], []
-    for t in (1, 2, 8):
+    for t in SWEEP_THREADS:
         stem = os.path.join(args.work_dir, f"overload_t{t}")
         code, out = run_overload(args, threads=t, metrics=stem + ".json",
                                  journal=stem + ".jsonl",
@@ -350,7 +357,7 @@ def main():
                     help="comma-separated fault-plan matrix "
                     "(default: the survivable built-in matrix)")
     ap.add_argument("--check-determinism", action="store_true",
-                    help="re-run each plan at 1/2/8 threads with --pin-meta "
+                    help=f"re-run each plan at {SWEEP_LABEL} threads with --pin-meta "
                     "and byte-compare the metrics files")
     ap.add_argument("--work-dir", default="soak_runner_out",
                     help="scratch directory for metrics files")
@@ -420,7 +427,7 @@ def main():
         if args.check_determinism:
             metrics_paths, journal_paths = [], []
             postmortem_paths, triage_paths = [], []
-            for t in (1, 2, 8):
+            for t in SWEEP_THREADS:
                 stem = os.path.join(args.work_dir, f"plan{plans.index(plan)}_t{t}")
                 code, pct, line, _ = run_soak(args, plan, threads=t,
                                               metrics=stem + ".json",
