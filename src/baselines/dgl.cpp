@@ -1,9 +1,9 @@
 #include "baselines/dgl.hpp"
 
 #include <cmath>
-#include <deque>
 
 #include "baselines/footprint.hpp"
+#include "baselines/workspace.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
@@ -29,42 +29,13 @@ sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
   return spec;
 }
 
-/// Owns the host matrices backing device FeatureMats for one run.
-/// std::deque: stable addresses under growth.
-struct Workspace {
-  std::deque<Matrix> pool;
-
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
-
-RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matrix output) {
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.output = std::move(output);
-  return r;
-}
-
 }  // namespace
 
 RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = dgl_footprint(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
   Workspace ws;
@@ -95,16 +66,14 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
     h = agg;
   }
-  RunResult r = finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
-  r.paper_bytes = paper_bytes;
-  return r;
+  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
 }
 
 RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_gat", "baseline");
   const std::uint64_t paper_bytes = dgl_footprint_gat(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
   Workspace ws;
@@ -178,9 +147,7 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
     }
     h = agg;
   }
-  RunResult r = finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
-  r.paper_bytes = paper_bytes;
-  return r;
+  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
 }
 
 RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,

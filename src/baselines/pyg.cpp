@@ -1,9 +1,9 @@
 #include "baselines/pyg.hpp"
 
 #include <cmath>
-#include <deque>
 
 #include "baselines/footprint.hpp"
+#include "baselines/workspace.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
@@ -23,31 +23,13 @@ sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
   spec.framework_overhead_cycles = kFrameworkOverheadCycles;
   return spec;
 }
-
-struct Workspace {
-  std::deque<Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
 }  // namespace
 
 RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) {
   prof::Span span("PygBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = pyg_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
   Workspace ws;
@@ -77,19 +59,14 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
-  return r;
+  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
 }
 
 RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) {
   prof::Span span("PygBackend::run_gat", "baseline");
   const std::uint64_t paper_bytes = pyg_footprint_gat(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
   Workspace ws;
@@ -167,21 +144,14 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
     }
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
-  return r;
+  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
 }
 
 RunResult PygBackend::run_sage_lstm(const Dataset&, const SageLstmRun&, ExecMode,
                                     const sim::DeviceSpec&) {
   prof::Span span("PygBackend::run_sage_lstm", "baseline");
   // PyG (1.5) has no LSTM aggregator — "x" in Figure 7c.
-  RunResult r;
-  r.oom = false;
-  return r;
+  return {};
 }
 
 }  // namespace gnnbridge::baselines

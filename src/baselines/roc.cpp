@@ -1,8 +1,7 @@
 #include "baselines/roc.hpp"
 
-#include <deque>
-
 #include "baselines/footprint.hpp"
+#include "baselines/workspace.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/spmm.hpp"
@@ -21,31 +20,13 @@ sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
   spec.framework_overhead_cycles = kFrameworkOverheadCycles;
   return spec;
 }
-
-struct Workspace {
-  std::deque<Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
 }  // namespace
 
 RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) {
   prof::Span span("RocBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = roc_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
   Workspace ws;
@@ -97,12 +78,7 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                        .phase = "partition"});
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
-  return r;
+  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
 }
 
 RunResult RocBackend::run_gat(const Dataset&, const GatRun&, ExecMode, const sim::DeviceSpec&) {

@@ -1,5 +1,6 @@
 #include "engine/engine.hpp"
 
+#include <array>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -37,37 +38,41 @@ using detail::Workspace;
 using detail::finish;
 using detail::with_engine_overhead;
 
-/// The tuned configuration resolved by the current attempt, published by
-/// maybe_tune and consumed by effective_lanes/effective_bound/
-/// las_order_for on the same thread. Thread-local (not an engine member)
-/// so concurrent run_batch jobs tuning different graphs never see each
-/// other's knobs; matched by (engine, fingerprint) so a recycled
-/// allocation or another engine instance can never alias it.
-struct ActiveTune {
-  const void* engine = nullptr;
-  graph::GraphFingerprint fp;
-  tensor::Index feat = -1;
-  int lanes = 32;
-  graph::EdgeId bound = 0;
-  bool use_las = true;
-  bool valid = false;
-};
-thread_local ActiveTune t_active_tune;
+/// Metric-schema name of every OptimizedEngine::Knob, in enum order.
+constexpr std::array<std::string_view, 5> kKnobNames = {
+    rt::kKnobLas, rt::kKnobAutoTune, rt::kKnobAdapter, rt::kKnobNeighborGrouping,
+    rt::kKnobSharding};
+
+/// The knobs named in `names` (unknown names are ignored), as a bit set.
+std::uint8_t knob_set(const std::vector<std::string>& names) {
+  std::uint8_t set = 0;
+  for (const std::string& name : names) {
+    for (std::size_t k = 0; k < kKnobNames.size(); ++k) {
+      if (name == kKnobNames[k]) set |= static_cast<std::uint8_t>(1u << k);
+    }
+  }
+  return set;
+}
+
+/// The knobs of a bit set as metric-schema names, in enum order.
+std::vector<std::string> knob_names(std::uint8_t set) {
+  std::vector<std::string> names;
+  for (std::size_t k = 0; k < kKnobNames.size(); ++k) {
+    if (set & (1u << k)) names.emplace_back(kKnobNames[k]);
+  }
+  return names;
+}
 
 /// The batch job running on this thread (serving resilience, DESIGN.md
 /// §12). Batch jobs execute whole on one pool worker (nested regions run
 /// inline), so a thread-local is job-confined. While active, the
 /// degradation ladder disables knobs *here* instead of the engine's sticky
-/// atomics — one job's failures never change how a concurrent healthy job
+/// set — one job's failures never change how a concurrent healthy job
 /// runs, which keeps batch results independent of job interleaving — and
 /// degradation events are buffered for a later flush in job-index order.
 struct ActiveJob {
   const void* engine = nullptr;
-  bool disable_las = false;
-  bool disable_tune = false;
-  bool disable_adapter = false;
-  bool disable_grouping = false;
-  bool disable_sharding = false;
+  std::uint8_t disabled = 0;  ///< knobs off for this job, one bit per Knob
   /// The job carries a private fault plan, so it must not take warm-cache
   /// shortcuts: a cache hit skips the work (and its fault seams) entirely,
   /// and warmth depends on which job got there first — thread timing. An
@@ -85,30 +90,22 @@ bool job_active_for(const void* engine) {
 
 /// RAII install of the per-job ladder, pre-seeded from the breaker's
 /// admission decision (an open breaker routes the job straight to the
-/// last-known-good degraded knob set).
+/// last-known-good degraded knob set) and the knobs the job itself forces
+/// off (e.g. the admission controller's overload pre-degradation).
 class JobGuard {
  public:
   JobGuard(const void* engine, const rt::BreakerDecision& admission,
            std::vector<rt::DegradationEvent>* events, bool cache_isolated,
            const std::vector<std::string>& job_disable_knobs = {})
       : prev_(t_active_job) {
-    ActiveJob job;
-    job.engine = engine;
-    job.events = events;
-    job.active = true;
-    job.cache_isolated = cache_isolated;
-    const auto apply = [&job](const std::string& knob) {
-      if (knob == rt::kKnobLas) job.disable_las = true;
-      if (knob == rt::kKnobAutoTune) job.disable_tune = true;
-      if (knob == rt::kKnobAdapter) job.disable_adapter = true;
-      if (knob == rt::kKnobNeighborGrouping) job.disable_grouping = true;
-      if (knob == rt::kKnobSharding) job.disable_sharding = true;
+    t_active_job = ActiveJob{
+        .engine = engine,
+        .disabled = static_cast<std::uint8_t>(knob_set(admission.disabled_knobs) |
+                                              knob_set(job_disable_knobs)),
+        .cache_isolated = cache_isolated,
+        .events = events,
+        .active = true,
     };
-    for (const std::string& knob : admission.disabled_knobs) apply(knob);
-    // Knobs the job itself forces off (e.g. the admission controller's
-    // overload pre-degradation) merge with the breaker's set.
-    for (const std::string& knob : job_disable_knobs) apply(knob);
-    t_active_job = job;
   }
   ~JobGuard() { t_active_job = prev_; }
   JobGuard(const JobGuard&) = delete;
@@ -116,15 +113,7 @@ class JobGuard {
 
   /// Knobs currently off for this job, as metric-schema names — the rung
   /// the breaker records when the job still fails here.
-  static std::vector<std::string> disabled_knobs() {
-    std::vector<std::string> knobs;
-    if (t_active_job.disable_las) knobs.emplace_back(rt::kKnobLas);
-    if (t_active_job.disable_tune) knobs.emplace_back(rt::kKnobAutoTune);
-    if (t_active_job.disable_adapter) knobs.emplace_back(rt::kKnobAdapter);
-    if (t_active_job.disable_grouping) knobs.emplace_back(rt::kKnobNeighborGrouping);
-    if (t_active_job.disable_sharding) knobs.emplace_back(rt::kKnobSharding);
-    return knobs;
-  }
+  static std::vector<std::string> disabled_knobs() { return knob_names(t_active_job.disabled); }
 
  private:
   ActiveJob prev_;
@@ -170,77 +159,74 @@ rt::Status OptimizedEngine::preflight(const Dataset& data,
   return rt::OkStatus();
 }
 
-bool OptimizedEngine::degrade_for(const rt::StageFailure& failure) const {
+bool OptimizedEngine::configured(Knob knob) const {
+  switch (knob) {
+    case Knob::kLas: return cfg_.use_las;
+    case Knob::kAutoTune: return cfg_.auto_tune;
+    case Knob::kAdapter: return cfg_.use_adapter;
+    case Knob::kNeighborGrouping: return cfg_.use_neighbor_grouping;
+    case Knob::kSharding: return resolved_shards() > 1;
+  }
+  return false;
+}
+
+bool OptimizedEngine::degraded(Knob knob) const {
+  if (failed_knobs_.load(std::memory_order_relaxed) & bit(knob)) return true;
+  return job_active_for(this) && (t_active_job.disabled & bit(knob));
+}
+
+bool OptimizedEngine::turn_off(Knob knob, std::string_view seam, std::string_view action,
+                               const rt::Status& cause) const {
   // Batch jobs walk a job-local ladder: the knob is disabled in the
-  // thread-local ActiveJob (never the engine's sticky atomics) and the
-  // event buffered for a job-order flush. A knob the engine has already
-  // degraded globally counts as unavailable here too.
-  const auto disable = [&](std::atomic<bool>& flag, bool configured, std::string_view knob,
-                           std::string_view action) {
-    if (!configured) return false;
-    const bool job_local = job_active_for(this);
-    if (job_local) {
-      bool* job_flag = nullptr;
-      if (knob == rt::kKnobLas) job_flag = &t_active_job.disable_las;
-      if (knob == rt::kKnobAutoTune) job_flag = &t_active_job.disable_tune;
-      if (knob == rt::kKnobAdapter) job_flag = &t_active_job.disable_adapter;
-      if (knob == rt::kKnobNeighborGrouping) job_flag = &t_active_job.disable_grouping;
-      if (knob == rt::kKnobSharding) job_flag = &t_active_job.disable_sharding;
-      if (!job_flag || *job_flag || flag.load(std::memory_order_relaxed)) return false;
-      *job_flag = true;
-      if (t_active_job.events) {
-        t_active_job.events->push_back(
-            rt::make_degradation(failure.seam(), knob, action, failure.status()));
-      }
-    } else if (flag.exchange(true)) {
+  // thread-local ActiveJob (never the engine's sticky set) and the event
+  // buffered for a job-order flush. A knob the engine has already degraded
+  // globally counts as unavailable here too.
+  rt::DegradationEvent event =
+      rt::make_degradation(seam, kKnobNames[static_cast<std::size_t>(knob)], action, cause);
+  if (job_active_for(this)) {
+    if (degraded(knob)) return false;
+    t_active_job.disabled |= bit(knob);
+    if (t_active_job.events) t_active_job.events->push_back(std::move(event));
+    return true;
+  }
+  if (failed_knobs_.fetch_or(bit(knob)) & bit(knob)) return false;
+  prof::MetricsSink::instance().record_degradation(std::move(event));
+  return true;
+}
+
+bool OptimizedEngine::degrade_for(const rt::StageFailure& failure) const {
+  const auto disable = [&](Knob knob, std::string_view action) {
+    if (!configured(knob) || !turn_off(knob, failure.seam(), action, failure.status())) {
       return false;
-    } else {
-      prof::MetricsSink::instance().record_degradation(
-          rt::make_degradation(failure.seam(), knob, action, failure.status()));
     }
-    std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %s\n",
+    std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %.*s\n",
                  failure.seam().c_str(), failure.status().to_string().c_str(),
-                 std::string(action).c_str());
+                 static_cast<int>(action.size()), action.data());
     return true;
   };
   const std::string& seam = failure.seam();
-  if (seam == rt::kSeamLasCluster) {
-    return disable(las_failed_, cfg_.use_las, rt::kKnobLas, "las->natural_order");
-  }
-  if (seam == rt::kSeamTunerProbe) {
-    return disable(tune_failed_, cfg_.auto_tune, rt::kKnobAutoTune,
-                   "tuned_bound->heuristic_bound");
-  }
-  if (seam == rt::kSeamFusionPass) {
-    return disable(adapter_failed_, cfg_.use_adapter, rt::kKnobAdapter,
-                   "fused->unfused_pipeline");
-  }
+  if (seam == rt::kSeamLasCluster) return disable(Knob::kLas, "las->natural_order");
+  if (seam == rt::kSeamTunerProbe) return disable(Knob::kAutoTune, "tuned_bound->heuristic_bound");
+  if (seam == rt::kSeamFusionPass) return disable(Knob::kAdapter, "fused->unfused_pipeline");
   if (seam == rt::kSeamSimLaunch) {
     // A failing launch has no single culprit; walk toward the most
     // conservative configuration one knob at a time.
-    return disable(grouping_failed_, cfg_.use_neighbor_grouping, rt::kKnobNeighborGrouping,
-                   "grouped->one_task_per_node") ||
-           disable(adapter_failed_, cfg_.use_adapter, rt::kKnobAdapter,
-                   "fused->unfused_pipeline") ||
-           disable(las_failed_, cfg_.use_las, rt::kKnobLas, "las->natural_order");
+    return disable(Knob::kNeighborGrouping, "grouped->one_task_per_node") ||
+           disable(Knob::kAdapter, "fused->unfused_pipeline") ||
+           disable(Knob::kLas, "las->natural_order");
   }
   if (seam == rt::kSeamShardCompute || seam == rt::kSeamShardExchange) {
     // The final rung of shard recovery (DESIGN.md §17): the per-shard
     // attempt budget is spent, so the whole run falls back to the
     // unsharded single-device pipeline. The run still succeeds — outputs
     // are bit-identical either way — so the breaker never sees a failure.
-    const bool stepped =
-        disable(sharding_failed_, resolved_shards() > 1, rt::kKnobSharding, "sharded->unsharded");
+    const bool stepped = disable(Knob::kSharding, "sharded->unsharded");
     if (stepped) {
       if (detail::RecoveryTally* tally = detail::active_recovery()) {
         ++tally->fallback_unsharded;
         if (tally->journal) {
-          obs::JournalEvent ev;
-          ev.type = "shard_fallback";
-          ev.key = seam;
-          ev.code = std::string(rt::kKnobSharding);
-          ev.detail = "sharded->unsharded";
-          tally->journal->push_back(std::move(ev));
+          tally->journal->push_back(detail::journal_event("shard_fallback", seam, rt::kKnobSharding,
+                                                          "sharded->unsharded"));
         }
       }
     }
@@ -308,63 +294,99 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
 }
 
 std::vector<std::string> OptimizedEngine::degraded_knobs() const {
-  std::vector<std::string> knobs;
-  if (las_failed_.load()) knobs.emplace_back(rt::kKnobLas);
-  if (tune_failed_.load()) knobs.emplace_back(rt::kKnobAutoTune);
-  if (adapter_failed_.load()) knobs.emplace_back(rt::kKnobAdapter);
-  if (grouping_failed_.load()) knobs.emplace_back(rt::kKnobNeighborGrouping);
-  if (sharding_failed_.load()) knobs.emplace_back(rt::kKnobSharding);
-  return knobs;
+  return knob_names(failed_knobs_.load());
 }
 
-bool OptimizedEngine::sharding_enabled() const {
-  if (job_active_for(this) && t_active_job.disable_sharding) return false;
-  return !sharding_failed_.load(std::memory_order_relaxed);
-}
+// ---- Schedule resolution ----------------------------------------------
 
-// ---- Knob plumbing ----------------------------------------------------
-
-bool OptimizedEngine::adapter_enabled() const {
-  if (job_active_for(this) && t_active_job.disable_adapter) return false;
-  return cfg_.use_adapter && !adapter_failed_.load(std::memory_order_relaxed);
-}
-
-EdgeId OptimizedEngine::effective_bound(const graph::Csr& csr, tensor::Index feat) const {
-  if (grouping_failed_.load(std::memory_order_relaxed)) return 0;
-  if (job_active_for(this) && t_active_job.disable_grouping) return 0;
-  // Tuned knobs are per-(graph, feature width): a tune published for one
-  // width must not configure a run at another (graph::fingerprint is
-  // topology-only, so the fingerprint alone cannot tell them apart).
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == graph::fingerprint(csr) &&
-      (feat < 0 || t_active_tune.feat == feat)) {
-    return t_active_tune.bound;
-  }
-  if (!cfg_.use_neighbor_grouping) return 0;
-  if (cfg_.group_bound > 0) return cfg_.group_bound;
-  const double avg = csr.num_nodes > 0
-                         ? static_cast<double>(csr.num_edges()) / static_cast<double>(csr.num_nodes)
-                         : 0.0;
-  return std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
-}
-
-const std::vector<NodeId>* OptimizedEngine::las_order_for(const graph::Csr& csr,
-                                                          tensor::Index feat) const {
-  if (!cfg_.use_las || las_failed_.load(std::memory_order_relaxed)) return nullptr;
-  if (job_active_for(this) && t_active_job.disable_las) return nullptr;
+detail::Schedule OptimizedEngine::schedule_for(const graph::Csr& csr, tensor::Index feat,
+                                               const sim::DeviceSpec& spec, int shards) const {
   const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == fp && (feat < 0 || t_active_tune.feat == feat) &&
-      !t_active_tune.use_las) {
+  const TunedEntry* tuned =
+      feat >= 0 && knob_on(Knob::kAutoTune) ? tuned_for(csr, fp, feat, spec) : nullptr;
+  // The partition comes between the tune and the LAS order: that is the
+  // order the three stages' fault seams fire in.
+  std::shared_ptr<const shard::Partition> plan =
+      shards > 1 ? shard_plan_for(csr, fp, shards) : nullptr;
+  detail::Schedule sched = resolve(csr, fp, tuned);
+  sched.plan = std::move(plan);
+  return sched;
+}
+
+const OptimizedEngine::TunedEntry* OptimizedEngine::tuned_for(const graph::Csr& csr,
+                                                              const graph::GraphFingerprint& fp,
+                                                              tensor::Index feat,
+                                                              const sim::DeviceSpec& spec) const {
+  const GraphKey key{fp, feat};
+  // Cache-isolated jobs re-tune every attempt: the shared cache is a
+  // warm-state shortcut whose contents depend on what ran before (see
+  // ActiveJob). Entries are never erased, so a returned pointer stays valid.
+  if (!detail::cache_isolated_active(this)) {
+    if (const TunedEntry* hit = cached_tune(key)) return hit;
+  }
+  prof::Span span("auto_tune", "engine");
+  span.arg("feat_len", static_cast<double>(feat));
+  // Probe launches run outside the job's cancel scope: tuning is engine-
+  // internal cache-amortized work, and which job reaches the cold cache
+  // first depends on thread timing — charging it to that job's deadline or
+  // checkpoint count would break the §11 byte-identical-metrics contract.
+  core::TuneResult tuned;
+  {
+    rt::AdoptScope neutral{rt::ScopeHandle{}};
+    // Only the engine-wide LAS state gates the tune's own LAS pass.
+    const bool las_failed = failed_knobs_.load(std::memory_order_relaxed) & bit(Knob::kLas);
+    tuned = tune_for(csr, feat, spec, cfg_.use_las && !las_failed);
+  }
+  if (!tuned.error.ok()) {
+    // A poisoned probe measurement must not pick the configuration: fall
+    // back to the heuristic bound and static lanes — job-locally inside a
+    // batch job (the engine stays trusted for other jobs), for good
+    // otherwise.
+    turn_off(Knob::kAutoTune, rt::kSeamTunerProbe, "tuned_bound->heuristic_bound", tuned.error);
+    std::fprintf(stderr, "gnnbridge: auto-tune aborted (%s); using heuristic configuration\n",
+                 tuned.error.to_string().c_str());
     return nullptr;
   }
+  const TunedEntry entry{tuned.best.lanes, tuned.best.group_bound, tuned.best.use_las};
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return &tuned_cache_.try_emplace(key, entry).first->second;
+}
+
+const OptimizedEngine::TunedEntry* OptimizedEngine::cached_tune(const GraphKey& key) const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  auto it = tuned_cache_.find(key);
+  return it != tuned_cache_.end() ? &it->second : nullptr;
+}
+
+detail::Schedule OptimizedEngine::resolve(const graph::Csr& csr,
+                                          const graph::GraphFingerprint& fp,
+                                          const TunedEntry* tuned) const {
+  detail::Schedule sched;
+  sched.lanes = tuned ? tuned->lanes : cfg_.lanes;
+  // A degraded grouping knob beats a tune; a tune beats the static
+  // configuration (use_neighbor_grouping = false included).
+  if (tuned && !degraded(Knob::kNeighborGrouping)) {
+    sched.bound = tuned->bound;
+  } else if (knob_on(Knob::kNeighborGrouping)) {
+    const double avg = csr.num_nodes > 0 ? static_cast<double>(csr.num_edges()) /
+                                               static_cast<double>(csr.num_nodes)
+                                         : 0.0;
+    sched.bound = cfg_.group_bound > 0
+                      ? cfg_.group_bound
+                      : std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+  }
+  // use_las = false (or a degraded LAS) beats a tune; a tune can turn LAS off.
+  if (knob_on(Knob::kLas) && !(tuned && !tuned->use_las)) sched.las = las_order(csr, fp);
+  return sched;
+}
+
+const std::vector<NodeId>* OptimizedEngine::las_order(const graph::Csr& csr,
+                                                      const graph::GraphFingerprint& fp) const {
   if (cfg_.las_order) return cfg_.las_order;
   // Cache-isolated jobs skip the warm-hit shortcut (but still insert: the
   // computed order is a pure function of the graph, so the entry is
   // value-identical however it got there).
-  if (!(job_active_for(this) && t_active_job.cache_isolated)) {
+  if (!detail::cache_isolated_active(this)) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = las_cache_.find(fp);
     if (it != las_cache_.end()) return it->second.get();
@@ -379,78 +401,6 @@ const std::vector<NodeId>* OptimizedEngine::las_order_for(const graph::Csr& csr,
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto [it, inserted] = las_cache_.try_emplace(fp, std::move(order));
   return it->second.get();
-}
-
-int OptimizedEngine::effective_lanes(const graph::Csr& csr, tensor::Index feat) const {
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == graph::fingerprint(csr) &&
-      (feat < 0 || t_active_tune.feat == feat)) {
-    return t_active_tune.lanes;
-  }
-  return cfg_.lanes;
-}
-
-void OptimizedEngine::maybe_tune(const graph::Csr& csr, tensor::Index feat_len,
-                                 const sim::DeviceSpec& spec) const {
-  if (!cfg_.auto_tune || tune_failed_.load(std::memory_order_relaxed)) return;
-  if (job_active_for(this) && t_active_job.disable_tune) return;
-  const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  const auto publish = [&](const TunedEntry& e) {
-    t_active_tune = {this, fp, feat_len, e.lanes, e.bound, e.use_las, true};
-  };
-  // Cache-isolated jobs re-tune every attempt: both the thread-sticky
-  // published entry and the shared cache are warm-state shortcuts whose
-  // availability depends on what ran before on this worker (see ActiveJob).
-  const bool isolated = job_active_for(this) && t_active_job.cache_isolated;
-  if (!isolated && t_active_tune.valid && t_active_tune.engine == this && t_active_tune.fp == fp &&
-      t_active_tune.feat == feat_len) {
-    return;
-  }
-  const TunedKey key{fp, feat_len};
-  if (!isolated) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = tuned_cache_.find(key);
-    if (it != tuned_cache_.end()) {
-      publish(it->second);
-      return;
-    }
-  }
-  prof::Span span("auto_tune", "engine");
-  span.arg("feat_len", static_cast<double>(feat_len));
-  // Probe launches run outside the job's cancel scope: tuning is engine-
-  // internal cache-amortized work, and which job reaches the cold cache
-  // first depends on thread timing — charging it to that job's deadline or
-  // checkpoint count would break the §11 byte-identical-metrics contract.
-  core::TuneResult tuned;
-  {
-    rt::AdoptScope neutral{rt::ScopeHandle{}};
-    tuned = tune_for(csr, feat_len, spec, cfg_.use_las && !las_failed_.load(std::memory_order_relaxed));
-  }
-  if (!tuned.error.ok()) {
-    // A poisoned probe measurement must not pick the configuration: fall
-    // back to the heuristic bound and static lanes — job-locally inside a
-    // batch job (the engine stays trusted for other jobs), for good
-    // otherwise.
-    if (job_active_for(this)) {
-      t_active_job.disable_tune = true;
-      if (t_active_job.events) {
-        t_active_job.events->push_back(rt::make_degradation(
-            rt::kSeamTunerProbe, rt::kKnobAutoTune, "tuned_bound->heuristic_bound", tuned.error));
-      }
-    } else {
-      tune_failed_.store(true);
-      prof::MetricsSink::instance().record_degradation(rt::make_degradation(
-          rt::kSeamTunerProbe, rt::kKnobAutoTune, "tuned_bound->heuristic_bound", tuned.error));
-    }
-    std::fprintf(stderr, "gnnbridge: auto-tune aborted (%s); using heuristic configuration\n",
-                 tuned.error.to_string().c_str());
-    return;
-  }
-  const TunedEntry entry{tuned.best.lanes, tuned.best.group_bound, tuned.best.use_las};
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto [it, inserted] = tuned_cache_.try_emplace(key, entry);
-  publish(it->second);
 }
 
 std::size_t OptimizedEngine::las_cache_size() const {
@@ -584,13 +534,9 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     tally.recovery.journal = journal_on ? &tally.journal : nullptr;
     detail::RecoveryScope recovery_scope(&tally.recovery);
     const rt::FaultFireListener on_fire = +[](void* ctx, std::string_view seam, int shot) {
-      auto* buffered = static_cast<std::vector<obs::JournalEvent>*>(ctx);
-      obs::JournalEvent ev;
-      ev.type = "fault_injected";
-      ev.key = std::string(seam);
-      ev.code = rt::status_code_name(rt::StatusCode::kFaultInjected);
-      ev.attempt = static_cast<std::uint64_t>(shot) + 1;
-      buffered->push_back(std::move(ev));
+      static_cast<std::vector<obs::JournalEvent>*>(ctx)->push_back(detail::journal_event(
+          "fault_injected", seam, rt::status_code_name(rt::StatusCode::kFaultInjected), "",
+          static_cast<std::uint64_t>(shot) + 1));
     };
     rt::ScopedFireListener fire_listener(journal_on ? on_fire : nullptr,
                                          journal_on ? &tally.journal : nullptr);
@@ -610,14 +556,9 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       }
       tally.attempt_cycles += out.stats.total_cycles;
       if (journal_on) {
-        obs::JournalEvent ev;
-        ev.type = "attempt";
-        ev.key = keys[i];
-        ev.code = rt::status_code_name(out.status.code());
-        if (!out.status.ok()) ev.detail = out.status.message();
-        ev.attempt = tally.attempts;
-        ev.cycles = out.stats.total_cycles;
-        tally.journal.push_back(std::move(ev));
+        tally.journal.push_back(detail::journal_event(
+            "attempt", keys[i], rt::status_code_name(out.status.code()),
+            out.status.ok() ? "" : out.status.message(), tally.attempts, out.stats.total_cycles));
       }
       if (out.status.ok()) {
         tally.success = true;
@@ -638,12 +579,8 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       const double backoff = rt::backoff_cycles(cfg_.retry, attempt);
       tally.backoff_cycles += backoff;
       if (journal_on) {
-        obs::JournalEvent ev;
-        ev.type = "backoff";
-        ev.key = keys[i];
-        ev.attempt = tally.attempts;
-        ev.cycles = backoff;
-        tally.journal.push_back(std::move(ev));
+        tally.journal.push_back(
+            detail::journal_event("backoff", keys[i], "", "", tally.attempts, backoff));
       }
       rt::charge_sim_cycles(backoff);
       if (rt::Status s = rt::cancel_checkpoint(); !s.ok()) {
@@ -677,31 +614,21 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   std::uint64_t jobs_ok = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobTally& tally = tallies[i];
-    if (journal_on && tally.ran && !keys[i].empty()) {
-      obs::JournalEvent ev;
+    // Stamps the job's request ID on a journal event and appends it.
+    const auto append = [&](obs::JournalEvent ev) {
       ev.request_id = req_ids[i];
-      ev.type = "admission";
-      ev.key = keys[i];
-      ev.code = rt::breaker_state_name(admissions[i].state);
-      if (admissions[i].probe) ev.detail = "half_open_probe";
       journal.append(std::move(ev));
+    };
+    if (journal_on && tally.ran && !keys[i].empty()) {
+      append(detail::journal_event("admission", keys[i],
+                                   rt::breaker_state_name(admissions[i].state),
+                                   admissions[i].probe ? "half_open_probe" : ""));
     }
     if (journal_on) {
-      for (obs::JournalEvent& ev : tally.journal) {
-        ev.request_id = req_ids[i];
-        journal.append(std::move(ev));
-      }
+      for (obs::JournalEvent& ev : tally.journal) append(std::move(ev));
     }
     for (rt::DegradationEvent& ev : tally.events) {
-      if (journal_on) {
-        obs::JournalEvent jev;
-        jev.request_id = req_ids[i];
-        jev.type = "degradation";
-        jev.key = ev.seam;
-        jev.code = ev.knob;
-        jev.detail = ev.action;
-        journal.append(std::move(jev));
-      }
+      if (journal_on) append(detail::journal_event("degradation", ev.seam, ev.knob, ev.action));
       sink.record_degradation(std::move(ev));
     }
     ++rs.jobs;
@@ -732,16 +659,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
                                : tally.timed_out ? "timed_out"
                                : tally.cancelled ? "cancelled"
                                                  : "failed";
+    const std::string_view status_word = rt::status_code_name(results[i].status.code());
     if (journal_on) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "outcome";
-      ev.key = keys[i];
-      ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = outcome_word;
-      ev.attempt = tally.attempts;
-      ev.cycles = results[i].stats.total_cycles;
-      journal.append(std::move(ev));
+      append(detail::journal_event("outcome", keys[i], status_word, outcome_word, tally.attempts,
+                                   results[i].stats.total_cycles));
     }
     // End-to-end critical path (DESIGN.md §15): admission-queue and quota
     // waits stamped by serve(), every attempt's compute (retries included),
@@ -751,40 +672,24 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     const double e2e_cycles = jobs[i].admission_wait_cycles + jobs[i].quota_wait_cycles +
                               tally.attempt_cycles + tally.backoff_cycles;
     if (journal_on) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "e2e";
-      ev.key = keys[i];
-      ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = outcome_word;
-      ev.attempt = tally.attempts;
-      ev.cycles = e2e_cycles;
-      journal.append(std::move(ev));
+      append(detail::journal_event("e2e", keys[i], status_word, outcome_word, tally.attempts,
+                                   e2e_cycles));
     }
     obs::SloTracker& slo = obs::SloTracker::instance();
     if (slo.enabled()) {
       const obs::SloOutcome so =
           slo.record(jobs[i].tenant, jobs[i].arrival_cycles, e2e_cycles, tally.success);
       if (journal_on && (so.latency_violation || so.failure_violation)) {
-        obs::JournalEvent ev;
-        ev.request_id = req_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = so.latency_violation ? "latency" : "failure";
-        ev.detail = so.latency_violation ? "end-to-end over latency objective" : outcome_word;
-        ev.attempt = tally.attempts;
-        ev.cycles = e2e_cycles;
-        journal.append(std::move(ev));
+        append(detail::journal_event(
+            "slo_violation", jobs[i].tenant, so.latency_violation ? "latency" : "failure",
+            so.latency_violation ? "end-to-end over latency objective" : outcome_word,
+            tally.attempts, e2e_cycles));
       }
       if (journal_on && so.budget_exhausted_now) {
-        obs::JournalEvent ev;
-        ev.request_id = req_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = "budget_exhausted";
-        ev.detail = "window " + std::to_string(so.window_index) + " error budget exhausted";
-        ev.cycles = e2e_cycles;
-        journal.append(std::move(ev));
+        append(detail::journal_event(
+            "slo_violation", jobs[i].tenant, "budget_exhausted",
+            "window " + std::to_string(so.window_index) + " error budget exhausted",
+            /*attempt=*/0, e2e_cycles));
       }
     }
     if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
@@ -801,13 +706,8 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     if (effect.tripped) ++rs.breaker_trips;
     if (effect.recovered) ++rs.breaker_recoveries;
     if (journal_on && (effect.tripped || effect.recovered)) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "breaker";
-      ev.key = keys[i];
-      ev.code = effect.tripped ? "open" : "closed";
-      ev.detail = effect.tripped ? "tripped" : "recovered";
-      journal.append(std::move(ev));
+      append(detail::journal_event("breaker", keys[i], effect.tripped ? "open" : "closed",
+                                   effect.tripped ? "tripped" : "recovered"));
     }
   }
   sink.add_robustness(rs);
@@ -834,14 +734,23 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   return results;
 }
 
-core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr, tensor::Index feat) const {
-  const std::vector<NodeId>* order = las_order_for(csr, feat);
+namespace {
+/// The neighbor-grouped task list of `sched` over `csr`.
+core::GroupedTasks group_tasks(const graph::Csr& csr, const detail::Schedule& sched) {
   prof::Span span("neighbor_grouping", "engine");
   core::GroupedTasks grouped = core::neighbor_group_tasks(
-      csr, effective_bound(csr, feat),
-      order ? std::span<const NodeId>(*order) : std::span<const NodeId>());
+      csr, sched.bound,
+      sched.las ? std::span<const NodeId>(*sched.las) : std::span<const NodeId>());
   span.arg("tasks", static_cast<double>(grouped.tasks.size()));
   return grouped;
+}
+}  // namespace
+
+core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr, tensor::Index feat) const {
+  const graph::GraphFingerprint fp = graph::fingerprint(csr);
+  const TunedEntry* tuned =
+      feat >= 0 && knob_on(Knob::kAutoTune) ? cached_tune({fp, feat}) : nullptr;
+  return group_tasks(csr, resolve(csr, fp, tuned));
 }
 
 RunResult OptimizedEngine::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
@@ -852,20 +761,21 @@ RunResult OptimizedEngine::run_gcn(const Dataset& data, const GcnRun& run, ExecM
 
 RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, ExecMode mode,
                                        const sim::DeviceSpec& spec) {
-  if (const int nshards = resolved_shards(); nshards > 1 && sharding_enabled()) {
-    return gcn_attempt_sharded(data, run, mode, spec, nshards);
-  }
-  prof::Span span("OptimizedEngine::run_gcn", "engine");
+  const int shards = knob_on(Knob::kSharding) ? resolved_shards() : 1;
+  prof::Span span(shards > 1 ? "OptimizedEngine::run_gcn_sharded" : "OptimizedEngine::run_gcn",
+                  "engine");
+  if (shards > 1) span.arg("shards", static_cast<double>(shards));
   const Pipeline pipe =
-      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gcn fusion gate");
+      detail::choose_pipeline(knob_on(Knob::kAdapter), cfg_.use_linear, "run_gcn fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
+  const detail::Schedule sched = schedule_for(data.csr, feat, spec, shards);
+  if (sched.plan) return gcn_attempt_sharded(data, run, mode, spec, pipe, sched);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
+  const core::GroupedTasks grouped = group_tasks(data.csr, sched);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
-  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
@@ -893,22 +803,20 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
     const models::Matrix& target, float lr, ExecMode mode, const sim::DeviceSpec& spec,
     models::GcnGrads* grads_out) {
   prof::Span span("OptimizedEngine::train_gcn_step", "engine");
-  // Training tunes for (and consumes tunes at) the first layer's output
-  // width, mirroring the forward entry point — a tune published by an
-  // inference run at a different width must not configure this step.
-  const tensor::Index feat =
-      params.weight.empty() ? -1 : params.weight[0].cols();
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
+  // Training tunes at the first layer's output width, mirroring the
+  // forward entry point.
+  const tensor::Index feat = params.weight.empty() ? -1 : params.weight[0].cols();
+  const detail::Schedule sched = schedule_for(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
+  const core::GroupedTasks grouped = group_tasks(data.csr, sched);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
   const bool full = mode == ExecMode::kFull;
   const std::size_t layers = params.weight.size();
 
   // ---- Forward on the fused GCN steps, caching every layer for backward.
-  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
   std::vector<k::FeatureMat> hs{ws.from(ctx, x, "x")};  // hs[l] = h_l
   std::vector<detail::GcnLayer> fwd;
   for (std::size_t l = 0; l < layers; ++l) {
@@ -1022,19 +930,20 @@ RunResult OptimizedEngine::run_gat(const Dataset& data, const GatRun& run, ExecM
 
 RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, ExecMode mode,
                                        const sim::DeviceSpec& spec) {
-  if (const int nshards = resolved_shards(); nshards > 1 && sharding_enabled()) {
-    return gat_attempt_sharded(data, run, mode, spec, nshards);
-  }
-  prof::Span span("OptimizedEngine::run_gat", "engine");
+  const int shards = knob_on(Knob::kSharding) ? resolved_shards() : 1;
+  prof::Span span(shards > 1 ? "OptimizedEngine::run_gat_sharded" : "OptimizedEngine::run_gat",
+                  "engine");
+  if (shards > 1) span.arg("shards", static_cast<double>(shards));
   const Pipeline pipe =
-      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gat fusion gate");
+      detail::choose_pipeline(knob_on(Knob::kAdapter), cfg_.use_linear, "run_gat fusion gate");
   const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
+  const detail::Schedule sched = schedule_for(data.csr, feat, spec, shards);
+  if (sched.plan) return gat_attempt_sharded(data, run, mode, spec, pipe, sched);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const core::GroupedTasks grouped = group_tasks(data.csr, sched);
+  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
   const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
@@ -1065,13 +974,12 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
   // write directly into their column slice of the concatenated destination
   // on a real GPU (strided epilogue stores) — per-head buffers here carry
   // the identical traffic.
-  const tensor::Index feat = run.cfg->head_dim;
-  maybe_tune(data.csr, feat, spec);
+  const detail::Schedule sched = schedule_for(data.csr, run.cfg->head_dim, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const detail::GraphView view{&gdev, &grouped, effective_lanes(data.csr, feat), mode};
+  const core::GroupedTasks grouped = group_tasks(data.csr, sched);
+  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
   const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   auto x = ws.from(ctx, *run.features, "x");
@@ -1106,12 +1014,11 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
                                              const baselines::SagePoolRun& run, ExecMode mode,
                                              const sim::DeviceSpec& spec) {
   prof::Span span("OptimizedEngine::run_sage_pool", "engine");
-  const tensor::Index feat = run.cfg->pool_dim;
-  maybe_tune(data.csr, feat, spec);
+  const detail::Schedule sched = schedule_for(data.csr, run.cfg->pool_dim, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
+  const core::GroupedTasks grouped = group_tasks(data.csr, sched);
 
   auto x = ws.from(ctx, *run.features, "x");
   auto w_pool = ws.from(ctx, run.params->w_pool, "w_pool");
@@ -1130,7 +1037,7 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
                    .src = &t,
                    .out = &pooled,
                    .reduce = k::Reduce::kMax,
-                   .lanes = effective_lanes(data.csr, feat),
+                   .lanes = sched.lanes,
                    .atomic_merge = grouped.any_split,
                    .mode = mode,
                    .name = "max_aggregate"};

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -32,6 +33,11 @@
 namespace gnnbridge::shard {
 struct Partition;
 }  // namespace gnnbridge::shard
+
+namespace gnnbridge::engine::detail {
+enum class Pipeline;
+struct Schedule;
+}  // namespace gnnbridge::engine::detail
 
 namespace gnnbridge::engine {
 
@@ -142,14 +148,10 @@ class OptimizedEngine final : public Backend {
   /// The task list this configuration produces for a graph — the
   /// composition of neighbor grouping and the LAS order. Exposed for the
   /// kernel-level benchmarks. `feat` is the feature width the tasks will
-  /// run at: tuned knobs are per-(graph, width), so a published tune for a
-  /// different width must not leak into this task list (-1 = accept any
-  /// width, the pre-tuning behaviour).
+  /// run at: with auto_tune, knobs an earlier run tuned for (graph, feat)
+  /// apply; this call never tunes, and -1 (or a width not tuned yet) gets
+  /// the static knobs.
   core::GroupedTasks build_tasks(const graph::Csr& csr, tensor::Index feat = -1) const;
-
-  /// Effective grouping bound for a graph under this configuration at
-  /// feature width `feat` (-1 = accept a tune for any width).
-  EdgeId effective_bound(const graph::Csr& csr, tensor::Index feat = -1) const;
 
   /// The shard count this engine's GCN/GAT pipelines will execute with:
   /// cfg.shards, or the GNNBRIDGE_SHARDS environment variable when
@@ -261,32 +263,19 @@ class OptimizedEngine final : public Backend {
     EdgeId bound = 0;
     bool use_las = true;
   };
-  struct TunedKey {
+  /// Cache key for a per-graph artifact that also depends on one integer:
+  /// the feature width of a tune, the shard count of a partition.
+  struct GraphKey {
     graph::GraphFingerprint fp;
-    tensor::Index feat = -1;
-    friend bool operator==(const TunedKey& a, const TunedKey& b) {
-      return a.fp == b.fp && a.feat == b.feat;
+    std::int64_t n = 0;
+    friend bool operator==(const GraphKey& a, const GraphKey& b) {
+      return a.fp == b.fp && a.n == b.n;
     }
   };
-  struct TunedKeyHash {
-    std::size_t operator()(const TunedKey& k) const {
+  struct GraphKeyHash {
+    std::size_t operator()(const GraphKey& k) const {
       return graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
-             static_cast<std::size_t>(k.feat);
-    }
-  };
-
-  /// Key for the memoized shard plans: content fingerprint + shard count.
-  struct ShardPlanKey {
-    graph::GraphFingerprint fp;
-    int k = 1;
-    friend bool operator==(const ShardPlanKey& a, const ShardPlanKey& b) {
-      return a.fp == b.fp && a.k == b.k;
-    }
-  };
-  struct ShardPlanKeyHash {
-    std::size_t operator()(const ShardPlanKey& k) const {
-      return graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
-             static_cast<std::size_t>(k.k);
+             static_cast<std::size_t>(k.n);
     }
   };
 
@@ -301,12 +290,11 @@ class OptimizedEngine final : public Backend {
                              std::shared_ptr<const std::vector<NodeId>>,
                              graph::GraphFingerprintHash>
       las_cache_;
-  mutable std::unordered_map<TunedKey, TunedEntry, TunedKeyHash> tuned_cache_;
+  mutable std::unordered_map<GraphKey, TunedEntry, GraphKeyHash> tuned_cache_;
   // Shard plans are deterministic pure functions of (graph, k); entries are
   // held behind shared_ptr and never erased, so concurrent jobs can keep
   // using a plan across rehashes (same lifetime rule as las_cache_).
-  mutable std::unordered_map<ShardPlanKey, std::shared_ptr<const shard::Partition>,
-                             ShardPlanKeyHash>
+  mutable std::unordered_map<GraphKey, std::shared_ptr<const shard::Partition>, GraphKeyHash>
       shard_cache_;
   // Preflight cache: validation is O(N x F); benches rerun identical
   // inputs thousands of times. Keyed by fingerprint + feature pointer.
@@ -314,27 +302,31 @@ class OptimizedEngine final : public Backend {
                              graph::GraphFingerprintHash>
       preflight_cache_;
 
-  // Sticky health flags: set when the corresponding stage failed and the
-  // degradation ladder disabled its knob; never cleared — a stage that
+  /// One optimization knob the degradation ladder can turn off. The order
+  /// is the order knob sets are reported in (breaker rungs, metrics).
+  enum class Knob : std::uint8_t { kLas, kAutoTune, kAdapter, kNeighborGrouping, kSharding };
+
+  // Knobs the ladder turned off for good, one bit per Knob: a stage that
   // failed once is not trusted again for this engine's lifetime. Atomic so
-  // concurrent batch jobs can degrade without racing.
-  mutable std::atomic<bool> las_failed_{false};
-  mutable std::atomic<bool> tune_failed_{false};
-  mutable std::atomic<bool> adapter_failed_{false};
-  mutable std::atomic<bool> grouping_failed_{false};
-  mutable std::atomic<bool> sharding_failed_{false};
+  // concurrent batch jobs can degrade without racing. Batch jobs degrade
+  // their own job-local set instead (ActiveJob in engine.cpp).
+  mutable std::atomic<std::uint8_t> failed_knobs_{0};
 
-  /// Whether the fused (adapter) pipeline is taken: configuration, the
-  /// sticky engine-wide health flag, and the current batch job's local
-  /// ladder/breaker state all gate it (defined in engine.cpp, where the
-  /// per-job thread-local lives).
-  bool adapter_enabled() const;
-
-  /// Whether the sharded GCN/GAT pipelines are taken: gated by the sticky
-  /// engine-wide health flag and the current batch job's ladder state
-  /// (defined in engine.cpp, where the per-job thread-local lives). The
-  /// final rung of shard recovery (DESIGN.md §17) turns this off.
-  bool sharding_enabled() const;
+  /// Whether the configuration turns `knob` on (sharding: more than one
+  /// shard resolved).
+  bool configured(Knob knob) const;
+  /// Whether the ladder turned `knob` off, engine-wide or for the batch
+  /// job running on this thread.
+  bool degraded(Knob knob) const;
+  bool knob_on(Knob knob) const { return configured(knob) && !degraded(knob); }
+  static std::uint8_t bit(Knob knob) {
+    return static_cast<std::uint8_t>(1u << static_cast<int>(knob));
+  }
+  /// Turns `knob` off, job-locally inside a batch job and for good
+  /// otherwise, and records the degradation event. False when it was off
+  /// already.
+  bool turn_off(Knob knob, std::string_view seam, std::string_view action,
+                const rt::Status& cause) const;
 
   /// Input validation run before every attempt (cached by identity).
   rt::Status preflight(const Dataset& data, const models::Matrix* features) const;
@@ -355,15 +347,21 @@ class OptimizedEngine final : public Backend {
   RunResult gat_attempt(const Dataset& data, const GatRun& run, ExecMode mode,
                         const sim::DeviceSpec& spec);
   // Partitioned variants (engine_shard.cpp): K simulated devices, per-layer
-  // ghost exchange, bit-identical outputs (DESIGN.md §16).
+  // ghost exchange, bit-identical outputs (DESIGN.md §16). gcn_attempt and
+  // gat_attempt resolve the pipeline and the schedule (partition included)
+  // and hand them over.
   RunResult gcn_attempt_sharded(const Dataset& data, const GcnRun& run, ExecMode mode,
-                                const sim::DeviceSpec& spec, int shards);
+                                const sim::DeviceSpec& spec, detail::Pipeline pipe,
+                                const detail::Schedule& sched);
   RunResult gat_attempt_sharded(const Dataset& data, const GatRun& run, ExecMode mode,
-                                const sim::DeviceSpec& spec, int shards);
+                                const sim::DeviceSpec& spec, detail::Pipeline pipe,
+                                const detail::Schedule& sched);
   /// Memoized partition for (graph, k); computed on miss, never evicted.
   /// Raises rt::StageFailure(kSeamShardPartition) when partitioning fails
   /// (e.g. a corrupt CSR) so run_guarded can surface it.
-  std::shared_ptr<const shard::Partition> shard_plan_for(const graph::Csr& csr, int k) const;
+  std::shared_ptr<const shard::Partition> shard_plan_for(const graph::Csr& csr,
+                                                         const graph::GraphFingerprint& fp,
+                                                         int k) const;
   RunResult multihead_gat_attempt(const Dataset& data, const baselines::MultiHeadGatRun& run,
                                   ExecMode mode, const sim::DeviceSpec& spec);
   RunResult sage_pool_attempt(const Dataset& data, const baselines::SagePoolRun& run,
@@ -375,17 +373,30 @@ class OptimizedEngine final : public Backend {
                                 ExecMode mode, const sim::DeviceSpec& spec,
                                 models::GcnGrads* grads_out);
 
-  const std::vector<NodeId>* las_order_for(const graph::Csr& csr, tensor::Index feat = -1) const;
+  /// The schedule of one attempt at aggregation width `feat` (-1 = no
+  /// aggregation to tune for): tunes or recalls the (graph, feat) knobs
+  /// when auto_tune is on, partitions the graph when `shards` > 1, then
+  /// resolves lanes, grouping bound and LAS order. Called once per attempt,
+  /// after the attempt's pipeline choice.
+  detail::Schedule schedule_for(const graph::Csr& csr, tensor::Index feat,
+                                const sim::DeviceSpec& spec, int shards = 1) const;
 
-  /// Lanes per feature row after optional auto-tuning (at width `feat`;
-  /// -1 = accept a tune for any width).
-  int effective_lanes(const graph::Csr& csr, tensor::Index feat = -1) const;
+  /// The cached tune for `key`; null when (graph, width) is not tuned yet.
+  const TunedEntry* cached_tune(const GraphKey& key) const;
 
-  /// When auto_tune is set, runs (or recalls) the tuner for
-  /// (csr, feat_len) and overwrites the schedule knobs used by
-  /// build_tasks/kernels.
-  void maybe_tune(const graph::Csr& csr, tensor::Index feat_len,
-                  const sim::DeviceSpec& spec) const;
+  /// The tuned entry for (fp, feat): the cached one, else a fresh tune.
+  /// Null when tuning fails; the ladder then turns auto_tune off.
+  const TunedEntry* tuned_for(const graph::Csr& csr, const graph::GraphFingerprint& fp,
+                              tensor::Index feat, const sim::DeviceSpec& spec) const;
+
+  /// Lanes, bound and LAS order from the configuration, the ladder and
+  /// `tuned` (null = untuned).
+  detail::Schedule resolve(const graph::Csr& csr, const graph::GraphFingerprint& fp,
+                           const TunedEntry* tuned) const;
+
+  /// The memoized LAS order of the graph (computed on miss).
+  const std::vector<NodeId>* las_order(const graph::Csr& csr,
+                                       const graph::GraphFingerprint& fp) const;
 };
 
 }  // namespace gnnbridge::engine

@@ -3,13 +3,20 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
-#include "baselines/backend.hpp"
+#include "baselines/workspace.hpp"
+#include "graph/csr.hpp"
 #include "kernels/common.hpp"
 #include "obs/journal.hpp"
 #include "sim/context.hpp"
+
+namespace gnnbridge::shard {
+struct Partition;
+}  // namespace gnnbridge::shard
 
 namespace gnnbridge::engine::detail {
 
@@ -34,6 +41,21 @@ struct RecoveryTally {
   bool any() const { return shard_retries != 0 || fallback_unsharded != 0; }
 };
 
+/// A journal event with its payload fields set; the request ID and sequence
+/// number are stamped when run_batch appends it.
+inline obs::JournalEvent journal_event(std::string_view type, std::string_view key,
+                                       std::string_view code = {}, std::string detail = {},
+                                       std::uint64_t attempt = 0, double cycles = 0.0) {
+  obs::JournalEvent ev;
+  ev.type = type;
+  ev.key = key;
+  ev.code = code;
+  ev.detail = std::move(detail);
+  ev.attempt = attempt;
+  ev.cycles = cycles;
+  return ev;
+}
+
 /// The tally installed for the current thread's run; nullptr when none.
 RecoveryTally* active_recovery();
 
@@ -57,25 +79,18 @@ class RecoveryScope {
   RecoveryTally* prev_;
 };
 
-/// Owns the host matrices backing a pipeline's device mats. A deque keeps
-/// element addresses stable across growth, so FeatureMat::host pointers
-/// taken earlier stay valid.
-struct Workspace {
-  std::deque<baselines::Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const baselines::Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
+using baselines::finish;
+using baselines::Workspace;
+
+/// The launch knobs one attempt runs under, resolved once per attempt by
+/// OptimizedEngine::schedule_for from the configuration, the degradation
+/// ladder and the (graph, feature width) tune.
+struct Schedule {
+  int lanes = 32;                                   ///< SIMD lanes per feature row
+  graph::EdgeId bound = 0;                          ///< neighbor grouping bound; 0 = off
+  const std::vector<graph::NodeId>* las = nullptr;  ///< LAS order; null = natural order
+  /// Sharded attempts only: the memoized partition (null = unsharded).
+  std::shared_ptr<const shard::Partition> plan;
 };
 
 /// The engine's handwritten kernels are driven by a thin C++ launcher
@@ -86,15 +101,6 @@ constexpr sim::Cycles kEngineOverheadCycles = 4000.0;
 inline sim::DeviceSpec with_engine_overhead(sim::DeviceSpec spec) {
   spec.framework_overhead_cycles = kEngineOverheadCycles;
   return spec;
-}
-
-inline baselines::RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec,
-                                   baselines::Matrix output) {
-  baselines::RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.output = std::move(output);
-  return r;
 }
 
 }  // namespace gnnbridge::engine::detail

@@ -117,13 +117,9 @@ void note_retry(sim::RunStats& accum, std::string_view seam, std::string what, i
     ++tally->shard_retries;
     if (reexecution) ++tally->shards_reexecuted;
     if (tally->journal) {
-      obs::JournalEvent ev;
-      ev.type = "shard_retry";
-      ev.key = std::string(seam);
-      ev.detail = std::move(what);
-      ev.attempt = static_cast<std::uint64_t>(attempt);
-      ev.cycles = static_cast<double>(wasted);
-      tally->journal->push_back(std::move(ev));
+      tally->journal->push_back(detail::journal_event("shard_retry", seam, "", std::move(what),
+                                                      static_cast<std::uint64_t>(attempt),
+                                                      static_cast<double>(wasted)));
     }
   }
 }
@@ -163,17 +159,16 @@ void drop_ghost_tasks(core::GroupedTasks& grouped, graph::NodeId num_owned) {
 /// the initial activations with input features replicated to ghost rows
 /// (so layer 0 needs no extra exchange for them).
 void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& spec,
-                const shard::Partition& p, int s, graph::EdgeId bound,
-                const std::vector<graph::NodeId>& owned_local,
-                const std::vector<graph::NodeId>* las, const Matrix& x) {
+                const shard::Partition& p, int s, const detail::Schedule& sched,
+                const std::vector<graph::NodeId>& owned_local, const Matrix& x) {
   se.sh = &sh;
   se.ctx = std::make_unique<sim::SimContext>(with_engine_overhead(spec));
   se.gdev = k::device_graph(*se.ctx, sh.local, "csr");
-  if (las) {
-    const std::vector<graph::NodeId> order = local_order(p, s, owned_local, *las);
-    se.grouped = core::neighbor_group_tasks(sh.local, bound, order);
+  if (sched.las) {
+    const std::vector<graph::NodeId> order = local_order(p, s, owned_local, *sched.las);
+    se.grouped = core::neighbor_group_tasks(sh.local, sched.bound, order);
   } else {
-    se.grouped = core::neighbor_group_tasks(sh.local, bound);
+    se.grouped = core::neighbor_group_tasks(sh.local, sched.bound);
   }
   drop_ghost_tasks(se.grouped, sh.num_owned());
   se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
@@ -201,13 +196,12 @@ struct ShardedRun {
   sim::RunStats accum;
   sim::Cycles total = 0.0;
 
-  /// Sets up every shard. The knobs are resolved by the caller on the
-  /// parent thread: effective_* and the LAS order consult thread-local
-  /// tune/job state that pool workers cannot see.
-  ShardedRun(std::shared_ptr<const shard::Partition> p, const sim::DeviceSpec& device,
-             ExecMode exec, graph::NodeId num_nodes, EdgeId bound, int lane_count,
-             const std::vector<NodeId>* las, const Matrix& x)
-      : plan(std::move(p)), spec(device), mode(exec), lanes(lane_count), se(plan->shards.size()) {
+  /// Sets up every shard. The schedule (partition included) is resolved
+  /// by the caller on the parent thread: the degradation ladder's
+  /// job-local state is thread-local, out of pool workers' sight.
+  ShardedRun(const detail::Schedule& sched, const sim::DeviceSpec& device, ExecMode exec,
+             graph::NodeId num_nodes, const Matrix& x)
+      : plan(sched.plan), spec(device), mode(exec), lanes(sched.lanes), se(plan->shards.size()) {
     // Owned-local row of every global node (the owned lists partition the
     // node set, so one vector serves all shards).
     std::vector<NodeId> owned_local(static_cast<std::size_t>(num_nodes), 0);
@@ -217,8 +211,7 @@ struct ShardedRun {
       }
     }
     for (std::size_t s = 0; s < se.size(); ++s) {
-      init_shard(se[s], plan->shards[s], spec, *plan, static_cast<int>(s), bound, owned_local, las,
-                 x);
+      init_shard(se[s], plan->shards[s], spec, *plan, static_cast<int>(s), sched, owned_local, x);
     }
   }
 
@@ -420,9 +413,9 @@ int OptimizedEngine::resolved_shards() const {
   return env_shards;
 }
 
-std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(const graph::Csr& csr,
-                                                                        int k) const {
-  const ShardPlanKey key{graph::fingerprint(csr), k};
+std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
+    const graph::Csr& csr, const graph::GraphFingerprint& fp, int k) const {
+  const GraphKey key{fp, k};
   // Cache-isolated jobs (any job with a fault plan) skip the warm-hit
   // shortcut: an armed shard_partition seam must fire on *this* attempt's
   // partition instead of being absorbed by a neighbor's memoized plan. A
@@ -433,7 +426,7 @@ std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(const gr
     auto it = shard_cache_.find(key);
     if (it != shard_cache_.end()) return it->second;
   }
-  // Compute outside the lock (mirrors las_order_for): the partition is a
+  // Compute outside the lock (mirrors las_order): the partition is a
   // pure function of (graph, k), so concurrent misses compute identical
   // plans and the first insert wins.
   prof::Span span("shard_partition", "engine");
@@ -461,19 +454,8 @@ std::size_t OptimizedEngine::shard_plan_cache_size() const {
 
 RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun& run,
                                                ExecMode mode, const sim::DeviceSpec& spec,
-                                               int shards) {
-  prof::Span span("OptimizedEngine::run_gcn_sharded", "engine");
-  span.arg("shards", static_cast<double>(shards));
-  const Pipeline pipe =
-      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gcn fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
-
-  std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const EdgeId bound = effective_bound(data.csr, feat);
-  const int lanes = effective_lanes(data.csr, feat);
-  const std::vector<NodeId>* las = las_order_for(data.csr, feat);
-  ShardedRun sr(std::move(plan), spec, mode, data.csr.num_nodes, bound, lanes, las, *run.features);
+                                               Pipeline pipe, const detail::Schedule& sched) {
+  ShardedRun sr(sched, spec, mode, data.csr.num_nodes, *run.features);
 
   // The GCN edge norm uses *global* degrees; gather it through the local
   // edge -> global edge map so every local edge carries the exact float
@@ -504,19 +486,8 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
 
 RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun& run,
                                                ExecMode mode, const sim::DeviceSpec& spec,
-                                               int shards) {
-  prof::Span span("OptimizedEngine::run_gat_sharded", "engine");
-  span.arg("shards", static_cast<double>(shards));
-  const Pipeline pipe =
-      detail::choose_pipeline(adapter_enabled(), cfg_.use_linear, "run_gat fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
-
-  std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const EdgeId bound = effective_bound(data.csr, feat);
-  const int lanes = effective_lanes(data.csr, feat);
-  const std::vector<NodeId>* las = las_order_for(data.csr, feat);
-  ShardedRun sr(std::move(plan), spec, mode, data.csr.num_nodes, bound, lanes, las, *run.features);
+                                               Pipeline pipe, const detail::Schedule& sched) {
+  ShardedRun sr(sched, spec, mode, data.csr.num_nodes, *run.features);
 
   // The exchange ships one F-float row per ghost; the aggregate step
   // recomputes the ghosts' attention scalars locally.

@@ -1,9 +1,15 @@
 // The engine's integrated online tuner (EngineConfig::auto_tune).
 #include <gtest/gtest.h>
 
+#include <new>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "models/reference.hpp"
+#include "rt/fault.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge {
@@ -135,10 +141,9 @@ TEST(AutoTune, SameGraphDifferentFeatureWidthIsRetuned) {
     return r;
   };
 
-  // Hidden widths no other test tunes on this graph: the thread-sticky
-  // published entry (t_active_tune) outlives engines, and a recycled heap
-  // address plus an already-tuned (graph, width) pair would short-circuit
-  // before this engine's own cache is populated.
+  // Each attempt reads tuned knobs from this engine's own cache, so what
+  // other tests tuned on this graph (even at a recycled engine address)
+  // cannot populate or bypass it.
   const auto r24 = run_width(24, 6);
   EXPECT_EQ(e.tuned_cache_size(), 1u);
   run_width(96, 8);
@@ -149,6 +154,76 @@ TEST(AutoTune, SameGraphDifferentFeatureWidthIsRetuned) {
   const auto again = run_width(24, 6);
   EXPECT_EQ(e.tuned_cache_size(), 2u);
   EXPECT_DOUBLE_EQ(r24.ms, again.ms);
+}
+
+// Regression: tuned knobs used to be published in a thread-local entry
+// keyed by the engine's address, and an attempt that found a matching entry
+// skipped its own cache. An engine built in the storage of a destroyed one
+// was served the old engine's tune and never filled its own cache.
+TEST(AutoTune, RecycledEngineAddressTunesItsOwnCache) {
+  const graph::Dataset data = graph::make_dataset(graph::DatasetId::kCollab, 0.02);
+  models::GcnConfig cfg;
+  cfg.dims = {32, 16};
+  const models::GcnParams params = models::init_gcn(cfg, 5);
+  const models::Matrix x = models::init_features(data.csr.num_nodes, 32, 6);
+  EngineConfig ecfg;
+  ecfg.auto_tune = true;
+
+  alignas(OptimizedEngine) unsigned char storage[sizeof(OptimizedEngine)];
+  const auto run_in_storage = [&] {
+    auto* e = new (storage) OptimizedEngine(ecfg);
+    const auto r = e->run_gcn(data, {&cfg, &params, &x}, ExecMode::kSimulateOnly, sim::v100());
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_EQ(e->tuned_cache_size(), 1u);
+    e->~OptimizedEngine();
+    return r.stats.total_cycles;
+  };
+  const double first = run_in_storage();
+  const double second = run_in_storage();
+  EXPECT_DOUBLE_EQ(first, second);
+}
+
+// Regression: once auto_tune was degraded for good, the thread that had run
+// the tune still used the tuned knobs for that graph while every other
+// thread used the heuristic ones, so the same run's cycles depended on the
+// calling thread. A degraded knob now means the fallback on every thread.
+TEST(AutoTune, StickyDegradationHoldsOnEveryThread) {
+  const graph::Dataset g = graph::make_dataset(graph::DatasetId::kArxiv, 0.1);
+  const graph::Dataset h = graph::make_dataset(graph::DatasetId::kCollab, 0.02);
+  models::GcnConfig cfg;
+  cfg.dims = {64, 48};
+  const models::GcnParams params = models::init_gcn(cfg, 3);
+  const models::Matrix xg = models::init_features(g.csr.num_nodes, 64, 4);
+  const models::Matrix xh = models::init_features(h.csr.num_nodes, 64, 4);
+  EngineConfig ecfg;
+  ecfg.auto_tune = true;
+  OptimizedEngine e(ecfg);
+  const auto run_g = [&] {
+    const auto r = e.run_gcn(g, {&cfg, &params, &xg}, ExecMode::kSimulateOnly, sim::v100());
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    return r.stats.total_cycles;
+  };
+
+  run_g();
+  ASSERT_EQ(e.tuned_cache_size(), 1u);
+  {
+    struct ClearPlan {
+      ~ClearPlan() { rt::FaultInjector::instance().clear(); }
+    } clear_plan;
+    ASSERT_TRUE(rt::FaultInjector::instance().set_plan("tuner_probe=*").ok());
+    const auto r = e.run_gcn(h, {&cfg, &params, &xh}, ExecMode::kSimulateOnly, sim::v100());
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+  }
+  ASSERT_EQ(e.degraded_knobs(), std::vector<std::string>{"auto_tune"});
+
+  const double here = run_g();
+  double fresh = 0.0;
+  std::thread([&] { fresh = run_g(); }).join();
+  EXPECT_DOUBLE_EQ(here, fresh);
+  // The fallback is the untuned engine's schedule.
+  OptimizedEngine untuned;
+  const auto r = untuned.run_gcn(g, {&cfg, &params, &xg}, ExecMode::kSimulateOnly, sim::v100());
+  EXPECT_DOUBLE_EQ(here, r.stats.total_cycles);
 }
 
 }  // namespace
