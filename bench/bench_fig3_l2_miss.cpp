@@ -29,8 +29,7 @@ int main() {
                            .tasks = {},
                            .src = &src,
                            .edge_weight = &norm,
-                           .out = &out,
-                           .mode = kernels::ExecMode::kSimulateOnly};
+                           .out = &out};
     const sim::KernelStats ks = kernels::spmm_vendor(ctx, args);
     bench::record_stats("l2_miss/" + d.name, "gcn-last-layer", "dgl", d.name, ctx.stats());
     std::printf("%-10s %12.1f %12llu %12llu\n", d.name.c_str(), 100.0 * ks.l2_miss_rate(),

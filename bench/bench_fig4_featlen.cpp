@@ -36,8 +36,7 @@ int main() {
                              .src = &src,
                              .edge_weight = &norm,
                              .out = &out,
-                             .lanes = 32,
-                             .mode = kernels::ExecMode::kSimulateOnly};
+                             .lanes = 32};
       const sim::KernelStats ks = kernels::spmm_node(ctx, args);
       bench::record_stats("featlen/" + std::to_string(feat) + "/" + d.name, "aggregation",
                           "fixed-schedule", d.name, ctx.stats(), spec);

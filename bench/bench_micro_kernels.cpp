@@ -37,8 +37,7 @@ void BM_SpmmReplay(benchmark::State& state) {
     kernels::SpmmArgs args{.graph = &gdev,
                            .tasks = tasks,
                            .src = &src,
-                           .out = &out,
-                           .mode = kernels::ExecMode::kSimulateOnly};
+                           .out = &out};
     benchmark::DoNotOptimize(kernels::spmm_node(ctx, args).cycles);
   }
   state.SetItemsProcessed(state.iterations() * d.csr.num_edges());
@@ -53,8 +52,7 @@ void BM_GemmReplay(benchmark::State& state) {
     auto b = kernels::device_mat_shape(ctx, 128, 64, "b");
     auto c = kernels::device_mat_shape(ctx, n, 64, "c");
     benchmark::DoNotOptimize(
-        kernels::dense_gemm(ctx, {.a = &a, .b = &b, .c = &c,
-                                  .mode = kernels::ExecMode::kSimulateOnly})
+        kernels::dense_gemm(ctx, {.a = &a, .b = &b, .c = &c})
             .cycles);
   }
 }
@@ -120,8 +118,7 @@ int main(int argc, char** argv) {
     kernels::SpmmArgs args{.graph = &gdev,
                            .tasks = tasks,
                            .src = &src,
-                           .out = &out,
-                           .mode = kernels::ExecMode::kSimulateOnly};
+                           .out = &out};
     kernels::spmm_node(ctx, args);
     bench::record_stats("micro/spmm_replay/" + d.name, "aggregation", "micro", d.name,
                         ctx.stats());

@@ -41,7 +41,7 @@ int main() {
   std::printf("output: [%lld x %lld], first row:", static_cast<long long>(result.output.rows()),
               static_cast<long long>(result.output.cols()));
   for (tensor::Index f = 0; f < result.output.cols(); ++f) {
-    std::printf(" %+.3f", result.output(0, f));
+    std::printf(" %+.3f", static_cast<double>(result.output(0, f)));
   }
   std::printf("\n");
 

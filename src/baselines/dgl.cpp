@@ -29,6 +29,61 @@ sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
   return spec;
 }
 
+/// One GAT layer (or head) as Listing 1 of the paper: a GEMM, two row
+/// dots and seven separate graph-op kernels. Allocates w, att_l, att_r,
+/// transformed, att_src, att_dst, e, v_acc, e_acc, aggregated, in that
+/// order, and returns the aggregated matrix (no activation).
+k::FeatureMat listing1_gat(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
+                           std::span<const k::Task> tasks, const k::FeatureMat& h,
+                           const Matrix& weight, const Matrix& att_l, const Matrix& att_r,
+                           float alpha) {
+  const graph::EdgeId num_edges = gdev.csr->num_edges();
+  auto w = ws.from(ctx, weight, "w");
+  auto al = ws.from(ctx, att_l, "att_l");
+  auto ar = ws.from(ctx, att_r, "att_r");
+  auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
+  k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t});
+  auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
+  auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
+  k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src});
+  k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst});
+
+  auto e = ws.mat(ctx, num_edges, 1, "e");
+  k::u_add_v(ctx, {.graph = &gdev,
+                   .tasks = tasks,
+                   .src_scalar = &att_src,
+                   .dst_scalar = &att_dst,
+                   .edge_out = &e});
+  k::edge_map(ctx, {.in = &e,
+                    .out = &e,
+                    .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
+                    .flops_per_elem = 1.0,
+                    .name = "leaky_relu"});
+  k::edge_map(ctx, {.in = &e,
+                    .out = &e,
+                    .fn = [](float x) { return std::exp(x); },
+                    .flops_per_elem = 4.0,
+                    .name = "exp"});
+  auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
+  k::segment_sum(ctx, {.graph = &gdev, .tasks = tasks, .edge_val = &e, .node_out = &vacc});
+  auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
+  k::broadcast_edge(ctx, {.graph = &gdev, .tasks = tasks, .node_val = &vacc, .edge_out = &eacc});
+  k::edge_binary(ctx, {.a = &e,
+                       .b = &eacc,
+                       .out = &e,
+                       .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
+                       .flops_per_elem = 1.0,
+                       .name = "softmax_div"});
+  auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
+  k::spmm_node(ctx, {.graph = &gdev,
+                     .tasks = tasks,
+                     .src = &t,
+                     .edge_weight = &e,
+                     .out = &agg,
+                     .name = "u_mul_e_sum"});
+  return agg;
+}
+
 }  // namespace
 
 RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
@@ -38,7 +93,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -49,7 +104,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     auto w = ws.from(ctx, run.params->weight[l], "w");
     auto bias = ws.from(ctx, run.params->bias[l], "b");
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t});
 
     // DGL routes sum-reduce through the vendor library (cuSPARSE csrmm).
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
@@ -58,15 +113,14 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                      .src = &t,
                      .edge_weight = &norm,
                      .out = &agg,
-                     .mode = mode,
                      .phase = "graph_op"};
     k::spmm_vendor(ctx, spmm);
 
     // Separate bias + activation kernel (op-per-kernel execution).
-    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
+    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last});
     h = agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
+  return finish(ctx, spec, h, paper_bytes);
 }
 
 RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
@@ -76,78 +130,25 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto al = ws.from(ctx, run.params->att_l[l], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[l], "att_r");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    // Listing 1: seven separate graph-op kernels.
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    k::u_add_v(ctx, {.graph = &gdev,
-                     .tasks = tasks,
-                     .src_scalar = &att_src,
-                     .dst_scalar = &att_dst,
-                     .edge_out = &e,
-                     .mode = mode});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                      .flops_per_elem = 1.0,
-                      .mode = mode,
-                      .name = "leaky_relu"});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [](float x) { return std::exp(x); },
-                      .flops_per_elem = 4.0,
-                      .mode = mode,
-                      .name = "exp"});
-    auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
-    k::segment_sum(ctx, {.graph = &gdev, .tasks = tasks, .edge_val = &e, .node_out = &vacc,
-                         .mode = mode});
-    auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-    k::broadcast_edge(ctx, {.graph = &gdev, .tasks = tasks, .node_val = &vacc,
-                            .edge_out = &eacc, .mode = mode});
-    k::edge_binary(ctx, {.a = &e,
-                         .b = &eacc,
-                         .out = &e,
-                         .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "softmax_div"});
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-    k::SpmmArgs spmm{.graph = &gdev,
-                     .tasks = tasks,
-                     .src = &t,
-                     .edge_weight = &e,
-                     .out = &agg,
-                     .mode = mode,
-                     .name = "u_mul_e_sum"};
-    k::spmm_node(ctx, spmm);
-    if (!last) {
+    k::FeatureMat agg = listing1_gat(ctx, ws, gdev, tasks, h, run.params->weight[l],
+                                     run.params->att_l[l], run.params->att_r[l],
+                                     run.cfg->leaky_alpha);
+    if (l + 1 < run.params->weight.size()) {
       k::dense_map(ctx, {.in = &agg,
                          .out = &agg,
                          .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
                          .flops_per_elem = 1.0,
-                         .mode = mode,
                          .name = "relu"});
     }
     h = agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
+  return finish(ctx, spec, h, paper_bytes);
 }
 
 RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
@@ -155,7 +156,7 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
   prof::Span span("DglBackend::run_sage_lstm", "baseline");
   // SAGE-LSTM footprints are tiny (one [N, F] expansion buffer at a time).
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
   const models::Index hidden = run.cfg->hidden;
@@ -173,28 +174,24 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
 
   for (int t = 0; t < run.cfg->steps; ++t) {
     // Expansion: materialize the t-th neighbor features (Observation 4).
-    k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t, .mode = mode});
+    k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t});
     // Transformation on the expanded matrix — redone every step.
-    k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .mode = mode,
-                        .phase = "transformation"});
-    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .mode = mode,
-                        .phase = "recurrent"});
+    k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .phase = "transformation"});
+    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .phase = "recurrent"});
     k::dense_binary(ctx, {.a = &g_in,
                           .b = &g_rec,
                           .out = &gates,
                           .fn = [](float a, float b) { return a + b; },
                           .flops_per_elem = 1.0,
-                          .mode = mode,
                           .name = "gates_add",
                           .phase = "lstm_cell"});
-    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate,
-                            .mode = mode});
+    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate});
   }
   auto outw = ws.from(ctx, run.params->out_w, "out_w");
   auto out = ws.mat(ctx, n, hidden, "out");
-  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
+  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .phase = "projection"});
 
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  return finish(ctx, spec, out);
 }
 
 RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatRun& run,
@@ -203,59 +200,19 @@ RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatR
   // DGL executes each head as an independent Listing-1 pipeline: K times
   // the op count — the op-explosion face of Observation 3.
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
 
   auto x = ws.from(ctx, *run.features, "x");
-  Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
+  Matrix concat;
+  if (x.host) concat = Matrix(data.csr.num_nodes, run.cfg->out_feat());
   for (int head = 0; head < run.cfg->heads; ++head) {
     const auto h = static_cast<std::size_t>(head);
-    auto w = ws.from(ctx, run.params->weight[h], "w");
-    auto al = ws.from(ctx, run.params->att_l[h], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[h], "att_r");
-    auto t = ws.mat(ctx, x.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, x.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, x.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    k::u_add_v(ctx, {.graph = &gdev, .tasks = tasks, .src_scalar = &att_src,
-                     .dst_scalar = &att_dst, .edge_out = &e, .mode = mode});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [alpha](float v) { return tensor::leaky_relu_scalar(v, alpha); },
-                      .flops_per_elem = 1.0,
-                      .mode = mode,
-                      .name = "leaky_relu"});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [](float v) { return std::exp(v); },
-                      .flops_per_elem = 4.0,
-                      .mode = mode,
-                      .name = "exp"});
-    auto vacc = ws.mat(ctx, x.rows, 1, "v_acc");
-    k::segment_sum(ctx, {.graph = &gdev, .tasks = tasks, .edge_val = &e, .node_out = &vacc,
-                         .mode = mode});
-    auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-    k::broadcast_edge(ctx, {.graph = &gdev, .tasks = tasks, .node_val = &vacc, .edge_out = &eacc,
-                            .mode = mode});
-    k::edge_binary(ctx, {.a = &e,
-                         .b = &eacc,
-                         .out = &e,
-                         .fn = [](float v, float acc) { return acc != 0.0f ? v / acc : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "softmax_div"});
-    auto agg = ws.mat(ctx, x.rows, w.cols, "aggregated");
-    k::SpmmArgs spmm{.graph = &gdev, .tasks = tasks, .src = &t, .edge_weight = &e, .out = &agg,
-                     .mode = mode, .name = "u_mul_e_sum"};
-    k::spmm_node(ctx, spmm);
-    if (mode == ExecMode::kFull) {
+    const k::FeatureMat agg =
+        listing1_gat(ctx, ws, gdev, tasks, x, run.params->weight[h], run.params->att_l[h],
+                     run.params->att_r[h], run.cfg->leaky_alpha);
+    if (agg.host) {
       const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
       for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
         auto src = agg.host->row(v);
@@ -264,14 +221,14 @@ RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatR
       }
     }
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? std::move(concat) : Matrix());
+  return finish(ctx, spec, std::move(concat));
 }
 
 RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run, ExecMode mode,
                                     const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_sage_pool", "baseline");
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
 
@@ -281,8 +238,8 @@ RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run,
   auto w_out = ws.from(ctx, run.params->w_out, "w_out");
 
   auto t = ws.mat(ctx, x.rows, w_pool.cols, "transformed");
-  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t, .mode = mode});
-  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true, .mode = mode});
+  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t});
+  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true});
 
   // Max aggregation: DGL's own node-parallel kernel (no vendor path for
   // non-sum reducers).
@@ -292,13 +249,12 @@ RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run,
                    .src = &t,
                    .out = &pooled,
                    .reduce = k::Reduce::kMax,
-                   .mode = mode,
                    .name = "max_aggregate"};
   k::spmm_node(ctx, spmm);
 
   auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
-  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out});
+  return finish(ctx, spec, out);
 }
 
 }  // namespace gnnbridge::baselines

@@ -32,7 +32,7 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   // Canonical COO is (dst, src)-sorted — the same edge order as the CSR, so
   // the CSR-derived normalization aligns slot for slot.
@@ -44,22 +44,20 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     auto w = ws.from(ctx, run.params->weight[l], "w");
     auto bias = ws.from(ctx, run.params->bias[l], "b");
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t});
 
     // Step 1: index-select expansion to [E, F]; step 2: scatter-reduce.
     auto expanded = ws.mat(ctx, data.coo.num_edges(), w.cols, "expanded");
-    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &t, .expanded = &expanded,
-                    .mode = mode});
+    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &t, .expanded = &expanded});
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
     k::scatter_reduce(ctx, {.edges = &edev,
                             .expanded = &expanded,
                             .edge_weight = &norm,
-                            .out = &agg,
-                            .mode = mode});
-    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
+                            .out = &agg});
+    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last});
     h = agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
+  return finish(ctx, spec, h, paper_bytes);
 }
 
 RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
@@ -69,7 +67,7 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   const graph::EdgeId num_edges = data.coo.num_edges();
   const float alpha = run.cfg->leaky_alpha;
@@ -81,19 +79,17 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
     auto al = ws.from(ctx, run.params->att_l[l], "att_l");
     auto ar = ws.from(ctx, run.params->att_r[l], "att_r");
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t});
     auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
     auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
+    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src});
+    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst});
 
     // Edge-parallel attention: gather both endpoint scalars per edge.
     auto att_src_e = ws.mat(ctx, num_edges, 1, "att_src_e");
     auto att_dst_e = ws.mat(ctx, num_edges, 1, "att_dst_e");
-    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &att_src, .expanded = &att_src_e,
-                    .mode = mode});
-    k::gather(ctx, {.edges = &edev, .by_src = false, .feat = &att_dst, .expanded = &att_dst_e,
-                    .mode = mode});
+    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &att_src, .expanded = &att_src_e});
+    k::gather(ctx, {.edges = &edev, .by_src = false, .feat = &att_dst, .expanded = &att_dst_e});
     auto e = ws.mat(ctx, num_edges, 1, "e");
     k::edge_binary(ctx, {.a = &att_src_e,
                          .b = &att_dst_e,
@@ -102,49 +98,42 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
                            return tensor::leaky_relu_scalar(a + b, alpha);
                          },
                          .flops_per_elem = 2.0,
-                         .mode = mode,
                          .name = "add_leaky"});
     k::edge_map(ctx, {.in = &e,
                       .out = &e,
                       .fn = [](float x) { return std::exp(x); },
                       .flops_per_elem = 4.0,
-                      .mode = mode,
                       .name = "exp"});
     auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
-    k::scatter_reduce(ctx, {.edges = &edev, .expanded = &e, .out = &vacc, .mode = mode,
-                            .name = "scatter_sum_e"});
+    k::scatter_reduce(ctx, {.edges = &edev, .expanded = &e, .out = &vacc, .name = "scatter_sum_e"});
     auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
     k::gather(ctx, {.edges = &edev, .by_src = false, .feat = &vacc, .expanded = &eacc,
-                    .mode = mode, .name = "gather_acc"});
+                    .name = "gather_acc"});
     k::edge_binary(ctx, {.a = &e,
                          .b = &eacc,
                          .out = &e,
                          .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
                          .flops_per_elem = 1.0,
-                         .mode = mode,
                          .name = "softmax_div"});
 
     // Message expansion + weighted scatter (two [E, F] tensors live).
     auto expanded = ws.mat(ctx, num_edges, w.cols, "x_j");
-    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &t, .expanded = &expanded,
-                    .mode = mode});
+    k::gather(ctx, {.edges = &edev, .by_src = true, .feat = &t, .expanded = &expanded});
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
     k::scatter_reduce(ctx, {.edges = &edev,
                             .expanded = &expanded,
                             .edge_weight = &e,
-                            .out = &agg,
-                            .mode = mode});
+                            .out = &agg});
     if (!last) {
       k::dense_map(ctx, {.in = &agg,
                          .out = &agg,
                          .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
                          .flops_per_elem = 1.0,
-                         .mode = mode,
                          .name = "relu"});
     }
     h = agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
+  return finish(ctx, spec, h, paper_bytes);
 }
 
 RunResult PygBackend::run_sage_lstm(const Dataset&, const SageLstmRun&, ExecMode,

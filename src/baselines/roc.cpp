@@ -29,7 +29,7 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -48,12 +48,11 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                        .out = &staged,
                        .fn = [](float x) { return x; },
                        .flops_per_elem = 0.0,
-                       .mode = mode,
                        .name = "halo_stage_in",
                        .phase = "partition"});
 
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &staged, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &staged, .b = &w, .c = &t});
 
     // Node-parallel aggregation with ROC's wide fixed mapping.
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
@@ -63,22 +62,20 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                      .edge_weight = &norm,
                      .out = &agg,
                      .lanes = 256,
-                     .mode = mode,
                      .name = "roc_aggregate"};
     k::spmm_node(ctx, spmm);
-    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
+    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last});
 
     auto staged_out = ws.mat(ctx, agg.rows, agg.cols, "halo_out");
     k::dense_map(ctx, {.in = &agg,
                        .out = &staged_out,
                        .fn = [](float x) { return x; },
                        .flops_per_elem = 0.0,
-                       .mode = mode,
                        .name = "halo_stage_out",
                        .phase = "partition"});
     h = agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix(), paper_bytes);
+  return finish(ctx, spec, h, paper_bytes);
 }
 
 RunResult RocBackend::run_gat(const Dataset&, const GatRun&, ExecMode, const sim::DeviceSpec&) {

@@ -14,31 +14,45 @@
 
 namespace gnnbridge::baselines {
 
-/// Owns the host matrices backing a pipeline's device mats. A deque keeps
-/// element addresses stable across growth, so FeatureMat::host pointers
-/// taken earlier stay valid.
-struct Workspace {
-  std::deque<Matrix> pool;
+/// Allocates a run's device mats, and decides once for the whole run
+/// whether they compute: under kFull each mat gets a host matrix (so every
+/// kernel computes), under kSimulateOnly none does (kernels only trace).
+/// Both modes allocate the same device buffers in the same order, so
+/// simulated addresses match. A deque keeps element addresses stable across
+/// growth, so FeatureMat::host pointers taken earlier stay valid.
+class Workspace {
+ public:
+  explicit Workspace(kernels::ExecMode mode) : full_(mode == kernels::ExecMode::kFull) {}
 
+  /// A zero-filled [rows, cols] mat.
   kernels::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
                           const char* label) {
-    pool.emplace_back(rows, cols);
-    return kernels::device_mat(ctx, pool.back(), label);
+    if (!full_) return kernels::device_mat_shape(ctx, rows, cols, label);
+    pool_.emplace_back(rows, cols);
+    return kernels::device_mat(ctx, pool_.back(), label);
   }
+  /// A mat holding a copy of `m`.
   kernels::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return kernels::device_mat(ctx, pool.back(), label);
+    if (!full_) return kernels::device_mat_shape(ctx, m.rows(), m.cols(), label);
+    pool_.push_back(m);
+    return kernels::device_mat(ctx, pool_.back(), label);
   }
+  /// A [v.size(), 1] mat holding a copy of `v`.
   kernels::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v,
                                const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return kernels::device_mat(ctx, pool.back(), label);
+    const auto rows = static_cast<models::Index>(v.size());
+    if (!full_) return kernels::device_mat_shape(ctx, rows, 1, label);
+    pool_.emplace_back(rows, 1, v);
+    return kernels::device_mat(ctx, pool_.back(), label);
   }
+
+ private:
+  bool full_;
+  std::deque<Matrix> pool_;
 };
 
 /// A completed run: the context's counters, the simulated wall time, the
-/// output (empty outside ExecMode::kFull) and the paper-scale footprint.
+/// output (empty when the run only traced) and the paper-scale footprint.
 inline RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matrix output,
                         std::uint64_t paper_bytes = 0) {
   RunResult r;
@@ -47,6 +61,13 @@ inline RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matri
   r.paper_bytes = paper_bytes;
   r.output = std::move(output);
   return r;
+}
+
+/// finish() with the output read from a device mat: its host matrix when
+/// the run computed, empty otherwise.
+inline RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec,
+                        const kernels::FeatureMat& output, std::uint64_t paper_bytes = 0) {
+  return finish(ctx, spec, output.host ? *output.host : Matrix(), paper_bytes);
 }
 
 /// A run that would not fit in device memory at paper scale (Figure 7's

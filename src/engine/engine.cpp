@@ -302,8 +302,8 @@ std::vector<std::string> OptimizedEngine::degraded_knobs() const {
 detail::Schedule OptimizedEngine::schedule_for(const graph::Csr& csr, tensor::Index feat,
                                                const sim::DeviceSpec& spec, int shards) const {
   const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  const TunedEntry* tuned =
-      feat >= 0 && knob_on(Knob::kAutoTune) ? tuned_for(csr, fp, feat, spec) : nullptr;
+  const std::optional<TunedEntry> tuned =
+      feat >= 0 && knob_on(Knob::kAutoTune) ? tuned_for(csr, fp, feat, spec) : std::nullopt;
   // The partition comes between the tune and the LAS order: that is the
   // order the three stages' fault seams fire in.
   std::shared_ptr<const shard::Partition> plan =
@@ -313,17 +313,24 @@ detail::Schedule OptimizedEngine::schedule_for(const graph::Csr& csr, tensor::In
   return sched;
 }
 
-const OptimizedEngine::TunedEntry* OptimizedEngine::tuned_for(const graph::Csr& csr,
-                                                              const graph::GraphFingerprint& fp,
-                                                              tensor::Index feat,
-                                                              const sim::DeviceSpec& spec) const {
+std::optional<OptimizedEngine::TunedEntry> OptimizedEngine::tuned_for(
+    const graph::Csr& csr, const graph::GraphFingerprint& fp, tensor::Index feat,
+    const sim::DeviceSpec& spec) const {
   const GraphKey key{fp, feat};
   // Cache-isolated jobs re-tune every attempt: the shared cache is a
   // warm-state shortcut whose contents depend on what ran before (see
-  // ActiveJob). Entries are never erased, so a returned pointer stays valid.
-  if (!detail::cache_isolated_active(this)) {
-    if (const TunedEntry* hit = cached_tune(key)) return hit;
+  // ActiveJob).
+  const bool isolated = detail::cache_isolated_active(this);
+  if (!isolated) {
+    if (std::optional<TunedEntry> hit = cached_tune(key)) return hit;
   }
+  // The tune's own LAS pass. A cache-isolated job follows its own ladder,
+  // so a LAS failure it has already absorbed does not fire again in the
+  // re-tune. Any other tune follows the engine-wide state only, so what a
+  // warm-cache read returns never depends on which job tuned first.
+  const bool engine_las =
+      cfg_.use_las && !(failed_knobs_.load(std::memory_order_relaxed) & bit(Knob::kLas));
+  const bool tune_las = isolated ? cfg_.use_las && !degraded(Knob::kLas) : engine_las;
   prof::Span span("auto_tune", "engine");
   span.arg("feat_len", static_cast<double>(feat));
   // Probe launches run outside the job's cancel scope: tuning is engine-
@@ -333,9 +340,7 @@ const OptimizedEngine::TunedEntry* OptimizedEngine::tuned_for(const graph::Csr& 
   core::TuneResult tuned;
   {
     rt::AdoptScope neutral{rt::ScopeHandle{}};
-    // Only the engine-wide LAS state gates the tune's own LAS pass.
-    const bool las_failed = failed_knobs_.load(std::memory_order_relaxed) & bit(Knob::kLas);
-    tuned = tune_for(csr, feat, spec, cfg_.use_las && !las_failed);
+    tuned = tune_for(csr, feat, spec, tune_las);
   }
   if (!tuned.error.ok()) {
     // A poisoned probe measurement must not pick the configuration: fall
@@ -345,22 +350,27 @@ const OptimizedEngine::TunedEntry* OptimizedEngine::tuned_for(const graph::Csr& 
     turn_off(Knob::kAutoTune, rt::kSeamTunerProbe, "tuned_bound->heuristic_bound", tuned.error);
     std::fprintf(stderr, "gnnbridge: auto-tune aborted (%s); using heuristic configuration\n",
                  tuned.error.to_string().c_str());
-    return nullptr;
+    return std::nullopt;
   }
   const TunedEntry entry{tuned.best.lanes, tuned.best.group_bound, tuned.best.use_las};
+  // A tune that skipped LAS for this job's ladder alone differs from the
+  // engine-wide tune; caching it would make the cache depend on job order.
+  if (tune_las != engine_las) return entry;
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return &tuned_cache_.try_emplace(key, entry).first->second;
+  return tuned_cache_.try_emplace(key, entry).first->second;
 }
 
-const OptimizedEngine::TunedEntry* OptimizedEngine::cached_tune(const GraphKey& key) const {
+std::optional<OptimizedEngine::TunedEntry> OptimizedEngine::cached_tune(
+    const GraphKey& key) const {
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = tuned_cache_.find(key);
-  return it != tuned_cache_.end() ? &it->second : nullptr;
+  if (it == tuned_cache_.end()) return std::nullopt;
+  return it->second;
 }
 
 detail::Schedule OptimizedEngine::resolve(const graph::Csr& csr,
                                           const graph::GraphFingerprint& fp,
-                                          const TunedEntry* tuned) const {
+                                          const std::optional<TunedEntry>& tuned) const {
   detail::Schedule sched;
   sched.lanes = tuned ? tuned->lanes : cfg_.lanes;
   // A degraded grouping knob beats a tune; a tune beats the static
@@ -748,8 +758,8 @@ core::GroupedTasks group_tasks(const graph::Csr& csr, const detail::Schedule& sc
 
 core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr, tensor::Index feat) const {
   const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  const TunedEntry* tuned =
-      feat >= 0 && knob_on(Knob::kAutoTune) ? cached_tune({fp, feat}) : nullptr;
+  const std::optional<TunedEntry> tuned =
+      feat >= 0 && knob_on(Knob::kAutoTune) ? cached_tune({fp, feat}) : std::nullopt;
   return group_tasks(csr, resolve(csr, fp, tuned));
 }
 
@@ -771,21 +781,21 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
   const detail::Schedule sched = schedule_for(data.csr, feat, spec, shards);
   if (sched.plan) return gcn_attempt_sharded(data, run, mode, spec, pipe, sched);
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
-  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes};
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
     detail::GcnLayer layer =
         detail::gcn_allocate(ctx, ws, run.params->weight[l], run.params->bias[l], h.rows);
-    detail::transform(ctx, h, layer.w, layer.t, h.rows, mode);
+    detail::transform(ctx, h, layer.w, layer.t, h.rows);
     detail::gcn_aggregate(ctx, view, norm, layer, pipe, l + 1 == run.params->weight.size());
     h = layer.agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  return finish(ctx, spec, h);
 }
 
 OptimizedEngine::TrainResult OptimizedEngine::train_gcn_step(
@@ -808,21 +818,20 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   const tensor::Index feat = params.weight.empty() ? -1 : params.weight[0].cols();
   const detail::Schedule sched = schedule_for(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
-  const bool full = mode == ExecMode::kFull;
   const std::size_t layers = params.weight.size();
 
   // ---- Forward on the fused GCN steps, caching every layer for backward.
-  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes};
   std::vector<k::FeatureMat> hs{ws.from(ctx, x, "x")};  // hs[l] = h_l
   std::vector<detail::GcnLayer> fwd;
   for (std::size_t l = 0; l < layers; ++l) {
     detail::GcnLayer layer =
         detail::gcn_allocate(ctx, ws, params.weight[l], params.bias[l], hs.back().rows);
-    detail::transform(ctx, hs.back(), layer.w, layer.t, hs.back().rows, mode);
+    detail::transform(ctx, hs.back(), layer.w, layer.t, hs.back().rows);
     detail::gcn_aggregate(ctx, view, norm, layer, Pipeline::kLinear, l + 1 == layers);
     hs.push_back(layer.agg);
     fwd.push_back(layer);
@@ -832,6 +841,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   // ---- Loss gradient (host; the loss itself is a scalar reduction whose
   // simulated cost is negligible next to the layers).
   auto d_h = ws.mat(ctx, hs.back().rows, hs.back().cols, "d_out");
+  const bool full = d_h.host != nullptr;
   if (full) {
     result.loss = models::mse_loss(*hs.back().host, target);
     *d_h.host = models::mse_loss_grad(*hs.back().host, target);
@@ -850,13 +860,12 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                             .out = &d_h,
                             .fn = [](float g, float o) { return o > 0.0f ? g : 0.0f; },
                             .flops_per_elem = 1.0,
-                            .mode = mode,
                             .name = "relu_backward",
                             .phase = "backward"});
     }
     // Bias gradient.
     auto d_b = ws.mat(ctx, fwd[li].b.rows, 1, "d_b");
-    k::col_sum(ctx, {.in = &d_h, .out = &d_b, .mode = mode});
+    k::col_sum(ctx, {.in = &d_h, .out = &d_b});
     // d_t = A d_pre — the same aggregation kernel, same task schedule.
     auto d_t = ws.mat(ctx, d_h.rows, d_h.cols, "d_t");
     k::SpmmArgs spmm{.graph = &gdev,
@@ -866,23 +875,21 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                      .out = &d_t,
                      .lanes = view.lanes,
                      .atomic_merge = grouped.any_split,
-                     .mode = mode,
                      .name = "aggregate_backward",
                      .phase = "backward"};
     k::spmm_node(ctx, spmm);
     // d_W = h^T d_t.
     auto h_t = ws.mat(ctx, hs[li].cols, hs[li].rows, "hT");
-    k::dense_transpose(ctx, {.in = &hs[li], .out = &h_t, .mode = mode, .phase = "backward"});
+    k::dense_transpose(ctx, {.in = &hs[li], .out = &h_t, .phase = "backward"});
     auto d_w = ws.mat(ctx, h_t.rows, d_t.cols, "d_w");
-    k::dense_gemm(ctx, {.a = &h_t, .b = &d_t, .c = &d_w, .mode = mode, .name = "gemm_dw",
+    k::dense_gemm(ctx, {.a = &h_t, .b = &d_t, .c = &d_w, .name = "gemm_dw",
                         .phase = "backward"});
     // d_h_{l} = d_t W^T.
     auto w_t = ws.mat(ctx, fwd[li].w.cols, fwd[li].w.rows, "wT");
-    k::dense_transpose(ctx, {.in = &fwd[li].w, .out = &w_t, .mode = mode,
-                             .phase = "backward"});
+    k::dense_transpose(ctx, {.in = &fwd[li].w, .out = &w_t, .phase = "backward"});
     auto d_h_prev = ws.mat(ctx, d_t.rows, w_t.cols, "d_h");
-    k::dense_gemm(ctx, {.a = &d_t, .b = &w_t, .c = &d_h_prev, .mode = mode,
-                        .name = "gemm_dh", .phase = "backward"});
+    k::dense_gemm(ctx,
+                  {.a = &d_t, .b = &w_t, .c = &d_h_prev, .name = "gemm_dh", .phase = "backward"});
 
     // SGD update, fused elementwise kernels.
     k::dense_binary(ctx, {.a = &fwd[li].w,
@@ -890,7 +897,6 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                           .out = &fwd[li].w,
                           .fn = [lr](float w, float g) { return w - lr * g; },
                           .flops_per_elem = 2.0,
-                          .mode = mode,
                           .name = "sgd_w",
                           .phase = "backward"});
     k::dense_binary(ctx, {.a = &fwd[li].b,
@@ -898,7 +904,6 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                           .out = &fwd[li].b,
                           .fn = [lr](float b, float g) { return b - lr * g; },
                           .flops_per_elem = 2.0,
-                          .mode = mode,
                           .name = "sgd_b",
                           .phase = "backward"});
     if (full) {
@@ -940,10 +945,10 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
   const detail::Schedule sched = schedule_for(data.csr, feat, spec, shards);
   if (sched.plan) return gat_attempt_sharded(data, run, mode, spec, pipe, sched);
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
-  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes};
   const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
@@ -951,12 +956,12 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
     detail::GatLayer layer =
         detail::gat_allocate(ctx, ws, run.params->weight[l], run.params->att_l[l],
                              run.params->att_r[l], h.rows, num_edges, pipe);
-    detail::transform(ctx, h, layer.w, layer.t, h.rows, mode);
+    detail::transform(ctx, h, layer.w, layer.t, h.rows);
     detail::gat_aggregate(ctx, view, layer, pipe, run.cfg->leaky_alpha,
                           l + 1 == run.params->weight.size());
     h = layer.agg;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  return finish(ctx, spec, h);
 }
 
 RunResult OptimizedEngine::run_multihead_gat(const Dataset& data,
@@ -976,23 +981,24 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
   // the identical traffic.
   const detail::Schedule sched = schedule_for(data.csr, run.cfg->head_dim, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
-  const detail::GraphView view{&gdev, &grouped, sched.lanes, mode};
+  const detail::GraphView view{&gdev, &grouped, sched.lanes};
   const auto num_edges = static_cast<tensor::Index>(data.csr.num_edges());
 
   auto x = ws.from(ctx, *run.features, "x");
-  Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
+  Matrix concat;
+  if (x.host) concat = Matrix(data.csr.num_nodes, run.cfg->out_feat());
   for (int head = 0; head < run.cfg->heads; ++head) {
     const auto h = static_cast<std::size_t>(head);
     detail::GatLayer layer =
         detail::gat_allocate(ctx, ws, run.params->weight[h], run.params->att_l[h],
                              run.params->att_r[h], x.rows, num_edges, Pipeline::kLinear);
-    detail::transform(ctx, x, layer.w, layer.t, x.rows, mode);
+    detail::transform(ctx, x, layer.w, layer.t, x.rows);
     detail::gat_aggregate(ctx, view, layer, Pipeline::kLinear, run.cfg->leaky_alpha,
                           /*last=*/true);
-    if (mode == ExecMode::kFull) {
+    if (layer.agg.host) {
       const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
       for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
         auto src = layer.agg.host->row(v);
@@ -1001,7 +1007,7 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
       }
     }
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? std::move(concat) : Matrix());
+  return finish(ctx, spec, std::move(concat));
 }
 
 RunResult OptimizedEngine::run_sage_pool(const Dataset& data, const baselines::SagePoolRun& run,
@@ -1016,7 +1022,7 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
   prof::Span span("OptimizedEngine::run_sage_pool", "engine");
   const detail::Schedule sched = schedule_for(data.csr, run.cfg->pool_dim, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
 
@@ -1026,8 +1032,8 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
   auto w_out = ws.from(ctx, run.params->w_out, "w_out");
 
   auto t = ws.mat(ctx, x.rows, w_pool.cols, "transformed");
-  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t, .mode = mode});
-  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true, .mode = mode});
+  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t});
+  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true});
 
   // Max is order-insensitive: neighbor grouping's split tasks merge
   // through atomic max exactly as sums do (paper §4.1.2).
@@ -1039,13 +1045,12 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
                    .reduce = k::Reduce::kMax,
                    .lanes = sched.lanes,
                    .atomic_merge = grouped.any_split,
-                   .mode = mode,
                    .name = "max_aggregate"};
   k::spmm_node(ctx, spmm);
 
   auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
-  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out});
+  return finish(ctx, spec, out);
 }
 
 RunResult OptimizedEngine::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
@@ -1058,7 +1063,7 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                                              ExecMode mode, const sim::DeviceSpec& spec) {
   prof::Span span("OptimizedEngine::run_sage_lstm", "engine");
   sim::SimContext ctx(with_engine_overhead(spec));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
   const models::Index hidden = run.cfg->hidden;
@@ -1079,7 +1084,7 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
   if (cfg_.sage_level == SageOptLevel::kSparseFetchBypass) {
     xw = ws.mat(ctx, n, 4 * hidden, "xw_pre");
     // One transformation for the whole unroll: O(N) instead of O(E).
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &xw, .mode = mode, .name = "pre_transform",
+    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &xw, .name = "pre_transform",
                         .phase = "transformation"});
   }
   auto x_t = ws.mat(ctx, n, run.cfg->in_feat, "x_t");
@@ -1087,9 +1092,8 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
   for (int t = 0; t < run.cfg->steps; ++t) {
     switch (cfg_.sage_level) {
       case SageOptLevel::kBase:
-        k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t, .mode = mode});
-        k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .mode = mode,
-                            .phase = "transformation"});
+        k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t});
+        k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .phase = "transformation"});
         break;
       case SageOptLevel::kSparseFetch:
         // The gather rides inside the GEMM's loads — no expansion kernel,
@@ -1099,14 +1103,12 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                                    .index_buf = steps.buf[static_cast<std::size_t>(t)],
                                    .b = &w,
                                    .c = &g_in,
-                                   .mode = mode,
                                    .phase = "transformation"});
         break;
       case SageOptLevel::kSparseFetchBypass:
         break;  // handled below: fetch pre-transformed rows directly
     }
-    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .mode = mode,
-                        .phase = "recurrent"});
+    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .phase = "recurrent"});
     if (cfg_.sage_level == SageOptLevel::kSparseFetchBypass) {
       // gates = XW[neighbor_t(v)] + hR — sparse fetch of the
       // pre-transformed row fused into the gate addition.
@@ -1117,7 +1119,6 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                               .out = &gates,
                               .fn = [](float a, float b) { return a + b; },
                               .flops_per_elem = 1.0,
-                              .mode = mode,
                               .name = "spfetch_gates_add",
                               .phase = "lstm_cell"});
     } else {
@@ -1126,18 +1127,16 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                             .out = &gates,
                             .fn = [](float a, float b) { return a + b; },
                             .flops_per_elem = 1.0,
-                            .mode = mode,
                             .name = "gates_add",
                             .phase = "lstm_cell"});
     }
-    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate,
-                            .mode = mode});
+    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate});
   }
   auto outw = ws.from(ctx, run.params->out_w, "out_w");
   auto out = ws.mat(ctx, n, hidden, "out");
-  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
+  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .phase = "projection"});
 
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  return finish(ctx, spec, out);
 }
 
 }  // namespace gnnbridge::engine

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -381,18 +382,18 @@ class OptimizedEngine final : public Backend {
   detail::Schedule schedule_for(const graph::Csr& csr, tensor::Index feat,
                                 const sim::DeviceSpec& spec, int shards = 1) const;
 
-  /// The cached tune for `key`; null when (graph, width) is not tuned yet.
-  const TunedEntry* cached_tune(const GraphKey& key) const;
+  /// The cached tune for `key`; empty when (graph, width) is not tuned yet.
+  std::optional<TunedEntry> cached_tune(const GraphKey& key) const;
 
   /// The tuned entry for (fp, feat): the cached one, else a fresh tune.
-  /// Null when tuning fails; the ladder then turns auto_tune off.
-  const TunedEntry* tuned_for(const graph::Csr& csr, const graph::GraphFingerprint& fp,
-                              tensor::Index feat, const sim::DeviceSpec& spec) const;
+  /// Empty when tuning fails; the ladder then turns auto_tune off.
+  std::optional<TunedEntry> tuned_for(const graph::Csr& csr, const graph::GraphFingerprint& fp,
+                                      tensor::Index feat, const sim::DeviceSpec& spec) const;
 
   /// Lanes, bound and LAS order from the configuration, the ladder and
-  /// `tuned` (null = untuned).
+  /// `tuned` (empty = untuned).
   detail::Schedule resolve(const graph::Csr& csr, const graph::GraphFingerprint& fp,
-                           const TunedEntry* tuned) const;
+                           const std::optional<TunedEntry>& tuned) const;
 
   /// The memoized LAS order of the graph (computed on miss).
   const std::vector<NodeId>* las_order(const graph::Csr& csr,

@@ -78,6 +78,8 @@ namespace {
 /// device each; the L2 stays warm layer to layer, like the unsharded
 /// engine's single context).
 struct ShardExec {
+  explicit ShardExec(ExecMode mode) : ws(mode) {}
+
   const shard::Shard* sh = nullptr;
   std::unique_ptr<sim::SimContext> ctx;
   Workspace ws;
@@ -172,6 +174,7 @@ void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& sp
   }
   drop_ghost_tasks(se.grouped, sh.num_owned());
   se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
+  if (!se.h.host) return;
   for (graph::NodeId r = 0; r < sh.num_owned(); ++r) {
     const auto src = x.row(sh.owned[static_cast<std::size_t>(r)]);
     auto dst = se.h.host->row(r);
@@ -190,7 +193,6 @@ void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& sp
 struct ShardedRun {
   std::shared_ptr<const shard::Partition> plan;
   sim::DeviceSpec spec;
-  ExecMode mode = ExecMode::kFull;
   int lanes = 32;
   std::vector<ShardExec> se;
   sim::RunStats accum;
@@ -199,9 +201,9 @@ struct ShardedRun {
   /// Sets up every shard. The schedule (partition included) is resolved
   /// by the caller on the parent thread: the degradation ladder's
   /// job-local state is thread-local, out of pool workers' sight.
-  ShardedRun(const detail::Schedule& sched, const sim::DeviceSpec& device, ExecMode exec,
+  ShardedRun(const detail::Schedule& sched, const sim::DeviceSpec& device, ExecMode mode,
              graph::NodeId num_nodes, const Matrix& x)
-      : plan(sched.plan), spec(device), mode(exec), lanes(sched.lanes), se(plan->shards.size()) {
+      : plan(sched.plan), spec(device), lanes(sched.lanes) {
     // Owned-local row of every global node (the owned lists partition the
     // node set, so one vector serves all shards).
     std::vector<NodeId> owned_local(static_cast<std::size_t>(num_nodes), 0);
@@ -210,8 +212,10 @@ struct ShardedRun {
         owned_local[static_cast<std::size_t>(sh.owned[r])] = static_cast<NodeId>(r);
       }
     }
-    for (std::size_t s = 0; s < se.size(); ++s) {
-      init_shard(se[s], plan->shards[s], spec, *plan, static_cast<int>(s), sched, owned_local, x);
+    se.reserve(plan->shards.size());
+    for (std::size_t s = 0; s < plan->shards.size(); ++s) {
+      init_shard(se.emplace_back(mode), plan->shards[s], spec, *plan, static_cast<int>(s), sched,
+                 owned_local, x);
     }
   }
 
@@ -311,8 +315,8 @@ struct ShardedRun {
       }
       note_retry(accum, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
     }
-    // Host values only (kFull): traces are value-independent.
-    if (mode != ExecMode::kFull) return;
+    // Host values only, when the run computes: traces are value-independent.
+    if (!mats[0].host) return;
     for (std::size_t s = 0; s < se.size(); ++s) {
       const shard::Shard& sh = plan->shards[s];
       for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
@@ -338,8 +342,7 @@ struct ShardedRun {
     // Phase A: transform the owned rows; ghost rows of the transformed
     // features arrive in the exchange.
     phase(l, "transform", [&](std::size_t s) {
-      detail::transform(*se[s].ctx, se[s].h, layers[s].w, layers[s].t, se[s].sh->num_owned(),
-                        mode);
+      detail::transform(*se[s].ctx, se[s].h, layers[s].w, layers[s].t, se[s].sh->num_owned());
     });
     end_phase("sharded " + model + " transform");
 
@@ -350,7 +353,7 @@ struct ShardedRun {
 
     // Phase B: aggregate over the shard-local graph.
     phase(l, "aggregate", [&](std::size_t s) {
-      aggregate(se[s], detail::GraphView{&se[s].gdev, &se[s].grouped, lanes, mode}, layers[s]);
+      aggregate(se[s], detail::GraphView{&se[s].gdev, &se[s].grouped, lanes}, layers[s]);
     });
     end_phase("sharded " + model + " aggregate");
 
@@ -360,11 +363,11 @@ struct ShardedRun {
   /// Merges per-shard counters into the final run stats: kernel records
   /// append in shard order (deterministic at any thread count), sync
   /// counts add, exchange rendezvous count as global syncs, and the clock
-  /// is the phase-makespan sum. kFull gathers every shard's owned rows
-  /// back into global row order.
+  /// is the phase-makespan sum. A computing run gathers every shard's
+  /// owned rows back into global row order.
   RunResult finish(graph::NodeId num_nodes) {
     Matrix output;
-    if (mode == ExecMode::kFull) {
+    if (se[0].h.host) {
       output = Matrix(num_nodes, se[0].h.cols);
       for (const ShardExec& shard : se) {
         for (graph::NodeId r = 0; r < shard.sh->num_owned(); ++r) {

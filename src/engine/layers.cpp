@@ -24,12 +24,11 @@ k::FeatureMat top_rows(const k::FeatureMat& m, tensor::Index rows) {
   return v;
 }
 
-void relu(sim::SimContext& ctx, k::FeatureMat& m, k::ExecMode mode) {
+void relu(sim::SimContext& ctx, k::FeatureMat& m) {
   k::dense_map(ctx, {.in = &m,
                      .out = &m,
                      .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
                      .flops_per_elem = 1.0,
-                     .mode = mode,
                      .name = "relu"});
 }
 }  // namespace
@@ -41,10 +40,10 @@ Pipeline choose_pipeline(bool adapter, bool linear, const char* where) {
 }
 
 void transform(sim::SimContext& ctx, const k::FeatureMat& h, const k::FeatureMat& w,
-               const k::FeatureMat& t, tensor::Index rows, k::ExecMode mode) {
+               const k::FeatureMat& t, tensor::Index rows) {
   const k::FeatureMat hview = top_rows(h, rows);
   k::FeatureMat tview = top_rows(t, rows);
-  k::dense_gemm(ctx, {.a = &hview, .b = &w, .c = &tview, .mode = mode});
+  k::dense_gemm(ctx, {.a = &hview, .b = &w, .c = &tview});
 }
 
 GcnLayer gcn_allocate(sim::SimContext& ctx, Workspace& ws, const baselines::Matrix& weight,
@@ -69,11 +68,10 @@ void gcn_aggregate(sim::SimContext& ctx, const GraphView& g, const k::FeatureMat
                        .edge_weight = &norm,
                        .out = &layer.agg,
                        .lanes = g.lanes,
-                       .atomic_merge = grouped.any_split,
-                       .mode = g.mode});
-    k::bias_act_kernel(ctx, {.bias = &layer.b, .mat = &layer.agg, .relu = false, .mode = g.mode,
-                             .name = "bias_add"});
-    if (!last) relu(ctx, layer.agg, g.mode);
+                       .atomic_merge = grouped.any_split});
+    k::bias_act_kernel(ctx,
+                       {.bias = &layer.b, .mat = &layer.agg, .relu = false, .name = "bias_add"});
+    if (!last) relu(ctx, layer.agg);
     return;
   }
   // Aggregation, bias and activation in one kernel: the epilogue needs
@@ -91,10 +89,9 @@ void gcn_aggregate(sim::SimContext& ctx, const GraphView& g, const k::FeatureMat
                                     .relu = !last,
                                     .epilogue_inline = inline_ok,
                                     .lanes = g.lanes,
-                                    .atomic_merge = grouped.any_split,
-                                    .mode = g.mode});
+                                    .atomic_merge = grouped.any_split});
   if (!inline_ok) {
-    k::bias_act_kernel(ctx, {.bias = &layer.b, .mat = &layer.agg, .relu = !last, .mode = g.mode});
+    k::bias_act_kernel(ctx, {.bias = &layer.b, .mat = &layer.agg, .relu = !last});
   }
 }
 
@@ -121,8 +118,8 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
   // Attention scalars over every local row: row_dot is row-independent, so
   // a shard recomputes its ghost rows' scalars bit-identically to their
   // owner instead of receiving them in the exchange.
-  k::row_dot(ctx, {.feat = &layer.t, .vec = &layer.att_l, .out = &layer.att_src, .mode = g.mode});
-  k::row_dot(ctx, {.feat = &layer.t, .vec = &layer.att_r, .out = &layer.att_dst, .mode = g.mode});
+  k::row_dot(ctx, {.feat = &layer.t, .vec = &layer.att_l, .out = &layer.att_src});
+  k::row_dot(ctx, {.feat = &layer.t, .vec = &layer.att_r, .out = &layer.att_dst});
   switch (pipe) {
     case Pipeline::kLinear:
       // Two kernels (§4.2). Score, leaky_relu and exp are edge-local
@@ -138,8 +135,7 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                               .edge_out = &layer.e,
                               .vacc_out = &layer.vacc,
                               .leaky_alpha = leaky_alpha,
-                              .atomic_merge = grouped.any_split,
-                              .mode = g.mode});
+                              .atomic_merge = grouped.any_split});
       k::gat_aggregate_fused(ctx, {.graph = g.graph,
                                    .tasks = grouped.tasks,
                                    .feat = &layer.t,
@@ -148,8 +144,7 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                                    .out = &layer.agg,
                                    .scale_inline = true,
                                    .lanes = g.lanes,
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = g.mode});
+                                   .atomic_merge = grouped.any_split});
       break;
     case Pipeline::kAdapter:
       // Without the linear property every edge weight must be divided by
@@ -163,16 +158,14 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                               .att_dst = &layer.att_dst,
                               .edge_out = &layer.e,
                               .vacc_out = nullptr,
-                              .leaky_alpha = leaky_alpha,
-                              .mode = g.mode});
+                              .leaky_alpha = leaky_alpha});
       k::segment_sum(ctx, {.graph = g.graph,
                            .tasks = grouped.tasks,
                            .edge_val = &layer.e,
                            .node_out = &layer.vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = g.mode});
+                           .atomic_merge = grouped.any_split});
       k::softmax_div_fused(ctx, {.graph = g.graph, .tasks = grouped.tasks, .vacc = &layer.vacc,
-                                 .edge = &layer.e, .mode = g.mode});
+                                 .edge = &layer.e});
       k::gat_aggregate_fused(ctx, {.graph = g.graph,
                                    .tasks = grouped.tasks,
                                    .feat = &layer.t,
@@ -180,8 +173,7 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                                    .vacc = nullptr,
                                    .out = &layer.agg,
                                    .lanes = g.lanes,
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = g.mode});
+                                   .atomic_merge = grouped.any_split});
       break;
     case Pipeline::kUnfused:
       // The seven-kernel pipeline of Listing 1, still honoring the task
@@ -191,36 +183,31 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                        .tasks = grouped.tasks,
                        .src_scalar = &layer.att_src,
                        .dst_scalar = &layer.att_dst,
-                       .edge_out = &layer.e,
-                       .mode = g.mode});
+                       .edge_out = &layer.e});
       k::edge_map(ctx, {.in = &layer.e,
                         .out = &layer.e,
                         .fn = [leaky_alpha](float x) {
                           return tensor::leaky_relu_scalar(x, leaky_alpha);
                         },
                         .flops_per_elem = 1.0,
-                        .mode = g.mode,
                         .name = "leaky_relu"});
       k::edge_map(ctx, {.in = &layer.e,
                         .out = &layer.e,
                         .fn = [](float x) { return std::exp(x); },
                         .flops_per_elem = 4.0,
-                        .mode = g.mode,
                         .name = "exp"});
       k::segment_sum(ctx, {.graph = g.graph,
                            .tasks = grouped.tasks,
                            .edge_val = &layer.e,
                            .node_out = &layer.vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = g.mode});
+                           .atomic_merge = grouped.any_split});
       k::broadcast_edge(ctx, {.graph = g.graph, .tasks = grouped.tasks, .node_val = &layer.vacc,
-                              .edge_out = &layer.eacc, .mode = g.mode});
+                              .edge_out = &layer.eacc});
       k::edge_binary(ctx, {.a = &layer.e,
                            .b = &layer.eacc,
                            .out = &layer.e,
                            .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
                            .flops_per_elem = 1.0,
-                           .mode = g.mode,
                            .name = "softmax_div"});
       k::spmm_node(ctx, {.graph = g.graph,
                          .tasks = grouped.tasks,
@@ -229,11 +216,10 @@ void gat_aggregate(sim::SimContext& ctx, const GraphView& g, GatLayer& layer, Pi
                          .out = &layer.agg,
                          .lanes = g.lanes,
                          .atomic_merge = grouped.any_split,
-                         .mode = g.mode,
                          .name = "u_mul_e_sum"});
       break;
   }
-  if (!last) relu(ctx, layer.agg, g.mode);
+  if (!last) relu(ctx, layer.agg);
 }
 
 }  // namespace gnnbridge::engine::detail

@@ -37,13 +37,12 @@ struct GraphView {
   const k::GraphOnDevice* graph = nullptr;
   const core::GroupedTasks* grouped = nullptr;
   int lanes = 32;
-  k::ExecMode mode = k::ExecMode::kFull;
 };
 
 /// C = H W over the first `rows` rows of H and C (a shard transforms only
 /// the rows it owns; unsharded callers pass every row).
 void transform(sim::SimContext& ctx, const k::FeatureMat& h, const k::FeatureMat& w,
-               const k::FeatureMat& t, tensor::Index rows, k::ExecMode mode);
+               const k::FeatureMat& t, tensor::Index rows);
 
 struct GcnLayer {
   k::FeatureMat w, b, t, agg;

@@ -51,7 +51,6 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                    .out = &out,
                    .lanes = config.lanes,
                    .atomic_merge = grouped.any_split,
-                   .mode = k::ExecMode::kSimulateOnly,
                    .name = "tune_probe"};
   const sim::KernelStats& ks = k::spmm_node(ctx, args);
   return ks.cycles;
@@ -66,7 +65,12 @@ core::TuneResult tune_for(const graph::Csr& csr, tensor::Index feat_len,
   return core::tune_graph_op(
       csr,
       [&](const core::TuneConfig& cfg) {
-        return measure_aggregation(csr, feat_len, cfg, spec, 0.25, allow_las ? &order : nullptr);
+        if (allow_las) return measure_aggregation(csr, feat_len, cfg, spec, 0.25, &order);
+        // No LAS pass may run: the search's LAS-on probe measures the
+        // natural order again, so it ties and never wins.
+        core::TuneConfig natural = cfg;
+        natural.use_las = false;
+        return measure_aggregation(csr, feat_len, natural, spec, 0.25);
       },
       base);
 }

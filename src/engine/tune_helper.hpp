@@ -22,7 +22,9 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                            double sample_fraction = 0.25,
                            const std::vector<graph::NodeId>* las_order = nullptr);
 
-/// Runs the full tuner search for (graph, feature length).
+/// Runs the full tuner search for (graph, feature length). Without
+/// `allow_las` no LAS pass runs (its fault seam cannot fire) and the
+/// result keeps LAS off.
 core::TuneResult tune_for(const graph::Csr& csr, tensor::Index feat_len,
                           const sim::DeviceSpec& spec, bool allow_las = true);
 

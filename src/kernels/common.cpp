@@ -1,5 +1,6 @@
 #include "kernels/common.hpp"
 
+#include <cassert>
 #include <cmath>
 
 namespace gnnbridge::kernels {
@@ -20,6 +21,17 @@ FeatureMat device_mat_shape(sim::SimContext& ctx, Index rows, Index cols, const 
   fm.cols = cols;
   fm.buf = ctx.mem().alloc(name, static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) * 4);
   return fm;
+}
+
+bool computes(std::initializer_list<const FeatureMat*> mats) {
+  std::size_t given = 0, backed = 0;
+  for (const FeatureMat* m : mats) {
+    if (!m) continue;
+    ++given;
+    if (m->host) ++backed;
+  }
+  assert((backed == 0 || backed == given) && "kernel given host-backed and shape-only matrices");
+  return given > 0 && backed == given;
 }
 
 GraphOnDevice device_graph(sim::SimContext& ctx, const Csr& csr, const char* name) {

@@ -5,11 +5,15 @@
 //      and the examples produce meaningful GNN outputs), and
 //   2. it emits the global-memory trace + flop counts of the corresponding
 //      GPU kernel into the simulator.
-// `ExecMode::kSimulateOnly` skips role 1 for the large benchmark sweeps —
-// traces are value-independent, so counters and timings are unchanged.
+// A kernel plays role 1 exactly when every matrix it is given has host
+// storage (`computes`); shape-only matrices skip it for the large benchmark
+// sweeps. Traces are value-independent, so counters and timings are the
+// same either way. Which matrices get host storage is decided once per run,
+// by the backends' Workspace from the run's execution mode.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -25,10 +29,12 @@ using graph::NodeId;
 using tensor::Index;
 using tensor::Matrix;
 
-/// Whether kernels execute real arithmetic or only emit traces.
+/// Whether a run computes real arithmetic or only emits traces. Kernels
+/// never read it: a run's Workspace turns it into host storage (kFull) or
+/// shape-only matrices (kSimulateOnly).
 enum class ExecMode {
   kFull,          ///< compute results and emit traces
-  kSimulateOnly,  ///< emit traces only (results untouched)
+  kSimulateOnly,  ///< emit traces only (no host matrices)
 };
 
 /// Reduction operator for aggregation kernels. All three are
@@ -36,10 +42,10 @@ enum class ExecMode {
 /// atomic-merge strategy (paper §4.1.2).
 enum class Reduce { kSum, kMean, kMax };
 
-/// A feature matrix living both on the host (for arithmetic) and in the
-/// simulated device memory (for traces).
+/// A feature matrix living in the simulated device memory (for traces) and,
+/// when the run computes, on the host (for arithmetic).
 struct FeatureMat {
-  Matrix* host = nullptr;      ///< may be null in kSimulateOnly pipelines
+  Matrix* host = nullptr;      ///< null = shape only: kernels trace, never compute
   sim::Buffer buf;             ///< simulated allocation
   Index rows = 0;
   Index cols = 0;
@@ -54,6 +60,11 @@ FeatureMat device_mat(sim::SimContext& ctx, Matrix& m, const char* name);
 /// Allocates a simulated [rows x cols] buffer with no host storage
 /// (kSimulateOnly pipelines).
 FeatureMat device_mat_shape(sim::SimContext& ctx, Index rows, Index cols, const char* name);
+
+/// Whether a kernel computes: true iff every matrix it is given has host
+/// storage. Null entries are absent optional operands and are skipped. A
+/// mix of host-backed and shape-only matrices is a caller error (asserted).
+bool computes(std::initializer_list<const FeatureMat*> mats);
 
 /// The graph structure resident in simulated device memory.
 struct GraphOnDevice {

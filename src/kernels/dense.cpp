@@ -62,8 +62,7 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
   assert(args.a && args.b && args.c);
   const Index m = args.a->rows, kdim = args.a->cols, n = args.b->cols;
   assert(args.b->rows == kdim && args.c->rows == m && args.c->cols == n);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.c->host;
+  const bool full = computes({args.a, args.b, args.c});
 
   if (full) {
     // Only the view's rows: a shard's view ends at its owned rows, and the
@@ -103,8 +102,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
   const Index m = static_cast<Index>(args.row_index.size());
   const Index kdim = args.feat->cols, n = args.b->cols;
   assert(args.b->rows == kdim && args.c->rows == m && args.c->cols == n);
-  const bool full =
-      args.mode == ExecMode::kFull && args.feat->host && args.b->host && args.c->host;
+  const bool full = computes({args.feat, args.b, args.c});
 
   if (full) {
     // Gather-on-the-fly GEMM: logical A row i is feat[row_index[i]]. Each
@@ -158,7 +156,7 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   assert(args.in && args.out);
   const Index rows = args.in->rows, cols = args.in->cols;
   assert(args.out->rows == rows && args.out->cols == cols);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = computes({args.in, args.out});
 
   sim::Kernel k;
   k.name = args.name;
@@ -191,8 +189,7 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
   const Index rows = args.a->rows, cols = args.a->cols;
   assert(args.b->rows == rows && args.b->cols == cols);
   assert(args.out->rows == rows && args.out->cols == cols);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.out->host;
+  const bool full = computes({args.a, args.b, args.out});
 
   sim::Kernel k;
   k.name = args.name;
@@ -227,8 +224,7 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
   const Index cols = args.a->cols;
   assert(args.b->rows == m && args.b->cols == cols);
   assert(args.out->rows == m && args.out->cols == cols);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.out->host;
+  const bool full = computes({args.a, args.b, args.out});
 
   sim::Kernel k;
   k.name = args.name;
@@ -266,7 +262,7 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == m);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = computes({args.in, args.out});
   if (full) *args.out->host = tensor::transpose(*args.in->host);
 
   sim::Kernel k;
@@ -304,7 +300,7 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == 1);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = computes({args.in, args.out});
   if (full) {
     args.out->host->fill(0.0f);
     for (Index r = 0; r < m; ++r) {
@@ -339,8 +335,7 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
   assert(args.feat && args.vec && args.out);
   const Index rows = args.feat->rows, cols = args.feat->cols;
   assert(args.vec->rows == cols && args.out->rows == rows);
-  const bool full =
-      args.mode == ExecMode::kFull && args.feat->host && args.vec->host && args.out->host;
+  const bool full = computes({args.feat, args.vec, args.out});
 
   sim::Kernel k;
   k.name = args.name;

@@ -24,7 +24,6 @@ struct GemmArgs {
   const FeatureMat* b = nullptr;
   FeatureMat* c = nullptr;
   bool accumulate = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gemm";
   const char* phase = "transformation";
 };
@@ -42,7 +41,6 @@ struct SparseFetchGemmArgs {
   const FeatureMat* b = nullptr;           ///< [K, Nc]
   FeatureMat* c = nullptr;                 ///< [M, Nc]
   bool accumulate = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gemm_spfetch";
   const char* phase = "transformation";
 };
@@ -54,7 +52,6 @@ struct DenseMapArgs {
   FeatureMat* out = nullptr;  ///< may alias in
   std::function<float(float)> fn;
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "dense_map";
   const char* phase = "elementwise";
 };
@@ -67,7 +64,6 @@ struct DenseBinaryArgs {
   FeatureMat* out = nullptr;
   std::function<float(float, float)> fn;
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "dense_binary";
   const char* phase = "elementwise";
 };
@@ -87,7 +83,6 @@ struct IndexedBinaryArgs {
   FeatureMat* out = nullptr;          ///< [M, F]
   std::function<float(float, float)> fn;
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "indexed_binary";
   const char* phase = "elementwise";
 };
@@ -97,7 +92,6 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
 struct TransposeArgs {
   const FeatureMat* in = nullptr;  ///< [M, N]
   FeatureMat* out = nullptr;       ///< [N, M]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "transpose";
   const char* phase = "transformation";
 };
@@ -108,7 +102,6 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
 struct ColSumArgs {
   const FeatureMat* in = nullptr;  ///< [M, N]
   FeatureMat* out = nullptr;       ///< [N, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "col_sum";
   const char* phase = "backward";
 };
@@ -119,7 +112,6 @@ struct RowDotArgs {
   const FeatureMat* feat = nullptr;  ///< [N, F]
   const FeatureMat* vec = nullptr;   ///< [F, 1]
   FeatureMat* out = nullptr;         ///< [N, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "row_dot";
   const char* phase = "transformation";
 };

@@ -20,7 +20,6 @@ struct EdgeMapArgs {
   FeatureMat* out = nullptr;        ///< [E, 1] (may alias in)
   std::function<float(float)> fn;   ///< host semantics
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "edge_map";
   const char* phase = "graph_op";
 };
@@ -33,7 +32,6 @@ struct EdgeBinaryArgs {
   FeatureMat* out = nullptr;
   std::function<float(float, float)> fn;
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "edge_binary";
   const char* phase = "graph_op";
 };
@@ -49,7 +47,6 @@ struct SegmentSumArgs {
   /// True when tasks split rows and partials merge atomically.
   bool atomic_merge = false;
   bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "segment_sum";
   const char* phase = "graph_op";
 };
@@ -62,7 +59,6 @@ struct BroadcastArgs {
   std::span<const Task> tasks;
   const FeatureMat* node_val = nullptr;  ///< [N, 1]
   FeatureMat* edge_out = nullptr;        ///< [E, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "broadcast_edge";
   const char* phase = "graph_op";
 };

@@ -27,7 +27,7 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
   const EdgeId num_edges = coo.num_edges();
   const Index feat = args.feat->cols;
   assert(args.expanded->cols == feat);
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.expanded->host;
+  const bool full = computes({args.feat, args.expanded});
   const auto& index = args.by_src ? coo.src : coo.dst;
   const sim::Buffer& index_buf = args.by_src ? args.edges->src : args.edges->dst;
 
@@ -67,8 +67,8 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
   const EdgeId num_edges = coo.num_edges();
   const Index feat = args.expanded->cols;
   assert(args.out->cols == feat);
-  const bool full = args.mode == ExecMode::kFull && args.expanded->host && args.out->host;
-  const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
+  const bool full = computes({args.expanded, args.edge_weight, args.out});
+  const Matrix* ew = args.edge_weight ? args.edge_weight->host : nullptr;
 
   if (full && args.zero_out) {
     if (args.reduce == Reduce::kMax) {
@@ -148,7 +148,7 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
   assert(args.out->cols == feat && args.out->rows == csr.num_nodes);
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.out->host;
+  const bool full = computes({args.feat, args.out});
   const std::uint64_t row_bytes = args.feat->row_bytes();
 
   sim::Kernel k;

@@ -34,7 +34,6 @@ struct GatherArgs {
   bool by_src = true;
   const FeatureMat* feat = nullptr;   ///< [N, F]
   FeatureMat* expanded = nullptr;     ///< [E, F]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gather";
   const char* phase = "expansion";
 };
@@ -49,7 +48,6 @@ struct ScatterArgs {
   FeatureMat* out = nullptr;               ///< [N, F]
   Reduce reduce = Reduce::kSum;
   bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "scatter_reduce";
   const char* phase = "graph_op";
 };
@@ -64,7 +62,6 @@ struct StepGatherArgs {
   int step = 0;
   const FeatureMat* feat = nullptr;  ///< [N, F]
   FeatureMat* out = nullptr;         ///< [N, F]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "step_gather";
   const char* phase = "expansion";
 };

@@ -28,9 +28,8 @@ std::vector<std::size_t> node_aligned_bounds(std::span<const Task> tasks) {
 sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args) {
   assert(args.graph && args.att_src && args.att_dst && args.edge_out);
   const Csr& csr = *args.graph->csr;
-  const bool full = args.mode == ExecMode::kFull && args.att_src->host && args.att_dst->host &&
-                    args.edge_out->host;
-  if (full && args.vacc_out && args.vacc_out->host && args.zero_vacc) {
+  const bool full = computes({args.att_src, args.att_dst, args.edge_out, args.vacc_out});
+  if (full && args.vacc_out && args.zero_vacc) {
     args.vacc_out->host->fill(0.0f);
   }
 
@@ -65,7 +64,7 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
       if (args.vacc_out) {
         blk.write(args.vacc_out->buf, args.vacc_out->row_offset(t.v), 4);
         if (args.atomic_merge) blk.atomic_merge(kAtomicCyclesPerLine, 4);
-        if (full && args.vacc_out->host) (*args.vacc_out->host)(t.v, 0) += acc;
+        if (full) (*args.vacc_out->host)(t.v, 0) += acc;
       }
       // add + leaky (1) + exp (4) per edge; the fused stages hand values
       // through two adapters instead of global memory: per-edge scores into
@@ -82,7 +81,7 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
 
 sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args) {
   assert(args.graph && args.vacc && args.edge);
-  const bool full = args.mode == ExecMode::kFull && args.vacc->host && args.edge->host;
+  const bool full = computes({args.vacc, args.edge});
 
   sim::Kernel k;
   k.name = args.name;
@@ -117,8 +116,7 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   assert(args.graph && args.feat && args.edge_weight && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.edge_weight->host &&
-                    args.out->host;
+  const bool full = computes({args.feat, args.edge_weight, args.vacc, args.out});
   if (full && args.zero_out) args.out->host->fill(0.0f);
 
   const double pad = pad_factor(feat, args.lanes);
@@ -150,7 +148,7 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
       float inv = 1.0f;
       if (scale) {
         blk.read(args.vacc->buf, args.vacc->row_offset(t.v), 4);
-        if (full && args.vacc->host) {
+        if (full) {
           const float acc = (*args.vacc->host)(t.v, 0);
           inv = acc != 0.0f ? 1.0f / acc : 0.0f;
         }
@@ -183,49 +181,18 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   return ctx.launch(std::move(k));
 }
 
-sim::KernelStats row_scale_kernel(sim::SimContext& ctx, const RowScaleArgs& args) {
-  assert(args.vacc && args.mat);
-  const Index rows = args.mat->rows;
-  const bool full = args.mode == ExecMode::kFull && args.vacc->host && args.mat->host;
-
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  constexpr Index kRowsPerBlock = 64;
-  for (Index r0 = 0; r0 < rows; r0 += kRowsPerBlock) {
-    const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    sim::BlockWork blk;
-    blk.read(args.vacc->buf, args.vacc->row_offset(r0), static_cast<std::uint32_t>((r1 - r0) * 4));
-    const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.mat->row_bytes());
-    blk.read(args.mat->buf, args.mat->row_offset(r0), bytes);
-    blk.write(args.mat->buf, args.mat->row_offset(r0), bytes);
-    if (full) {
-      for (Index r = r0; r < r1; ++r) {
-        const float acc = (*args.vacc->host)(r, 0);
-        const float inv = acc != 0.0f ? 1.0f / acc : 0.0f;
-        for (float& x : args.mat->host->row(r)) x *= inv;
-      }
-    }
-    const double work = static_cast<double>((r1 - r0) * args.mat->cols);
-    blk.compute(work, work);
-    blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
-  return ctx.launch(std::move(k));
-}
-
 sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
                                           const AggregateBiasActFusedArgs& args) {
   assert(args.graph && args.feat && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.out->host;
+  const bool full = computes({args.feat, args.edge_weight, args.bias, args.out});
   if (full && args.zero_out) args.out->host->fill(0.0f);
 
   const double pad = pad_factor(feat, args.lanes);
   const std::uint64_t row_bytes = args.feat->row_bytes();
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
-  const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
+  const Matrix* ew = args.edge_weight ? args.edge_weight->host : nullptr;
 
   sim::Kernel k;
   k.name = args.name;
@@ -261,7 +228,7 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
       if (full && epilogue) {
         auto orow = args.out->host->row(t.v);
         for (Index f = 0; f < feat; ++f) {
-          float x = orow[f] + (args.bias && args.bias->host ? (*args.bias->host)(f, 0) : 0.0f);
+          float x = orow[f] + (args.bias ? (*args.bias->host)(f, 0) : 0.0f);
           if (args.relu) x = x > 0.0f ? x : 0.0f;
           orow[f] = x;
         }
@@ -285,7 +252,7 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
 sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) {
   assert(args.mat);
   const Index rows = args.mat->rows, cols = args.mat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.mat->host;
+  const bool full = computes({args.bias, args.mat});
 
   sim::Kernel k;
   k.name = args.name;
@@ -302,7 +269,7 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
       for (Index r = r0; r < r1; ++r) {
         auto row = args.mat->host->row(r);
         for (Index c = 0; c < cols; ++c) {
-          float x = row[c] + (args.bias && args.bias->host ? (*args.bias->host)(c, 0) : 0.0f);
+          float x = row[c] + (args.bias ? (*args.bias->host)(c, 0) : 0.0f);
           if (args.relu) x = x > 0.0f ? x : 0.0f;
           row[c] = x;
         }

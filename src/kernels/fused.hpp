@@ -39,7 +39,6 @@ struct GatEdgeFusedArgs {
   bool zero_vacc = true;
   float leaky_alpha = 0.2f;
   bool atomic_merge = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gat_edge_fused";
   const char* phase = "graph_op";
 };
@@ -52,7 +51,6 @@ struct SoftmaxDivFusedArgs {
   std::span<const Task> tasks;
   const FeatureMat* vacc = nullptr;  ///< [N, 1]
   FeatureMat* edge = nullptr;        ///< [E, 1], in/out
-  ExecMode mode = ExecMode::kFull;
   const char* name = "softmax_div_fused";
   const char* phase = "graph_op";
 };
@@ -73,22 +71,10 @@ struct GatAggregateFusedArgs {
   int lanes = 32;
   bool atomic_merge = false;
   bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gat_aggregate_fused";
   const char* phase = "graph_op";
 };
 sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFusedArgs& args);
-
-/// Scales row v of `mat` by 1/vacc[v] (the deferred epilogue when neighbor
-/// grouping split the aggregation).
-struct RowScaleArgs {
-  const FeatureMat* vacc = nullptr;  ///< [N, 1]
-  FeatureMat* mat = nullptr;         ///< [N, F]
-  ExecMode mode = ExecMode::kFull;
-  const char* name = "row_scale";
-  const char* phase = "graph_op";
-};
-sim::KernelStats row_scale_kernel(sim::SimContext& ctx, const RowScaleArgs& args);
 
 /// GCN-style fused epilogue: out[v] = act(sum_u w_uv * feat[u] + bias).
 struct AggregateBiasActFusedArgs {
@@ -104,7 +90,6 @@ struct AggregateBiasActFusedArgs {
   int lanes = 32;
   bool atomic_merge = false;
   bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "aggregate_bias_act";
   const char* phase = "graph_op";
 };
@@ -116,7 +101,6 @@ struct BiasActArgs {
   const FeatureMat* bias = nullptr;  ///< optional [F, 1]
   FeatureMat* mat = nullptr;         ///< [N, F]
   bool relu = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "bias_act";
   const char* phase = "elementwise";
 };

@@ -19,24 +19,9 @@ struct UAddVArgs {
   const FeatureMat* src_scalar = nullptr;  ///< [N, 1]
   const FeatureMat* dst_scalar = nullptr;  ///< [N, 1]
   FeatureMat* edge_out = nullptr;          ///< [E, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "u_add_v";
   const char* phase = "graph_op";
 };
 sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args);
-
-/// e[i] = dot(src_feat[u_i], dst_feat[v_i]) — the GaAN / cosine edge op.
-struct UDotVArgs {
-  const GraphOnDevice* graph = nullptr;
-  std::span<const Task> tasks;
-  const FeatureMat* src_feat = nullptr;  ///< [N, F]
-  const FeatureMat* dst_feat = nullptr;  ///< [N, F]
-  FeatureMat* edge_out = nullptr;        ///< [E, 1]
-  int lanes = 32;
-  ExecMode mode = ExecMode::kFull;
-  const char* name = "u_dot_v";
-  const char* phase = "graph_op";
-};
-sim::KernelStats u_dot_v(sim::SimContext& ctx, const UDotVArgs& args);
 
 }  // namespace gnnbridge::kernels

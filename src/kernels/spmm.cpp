@@ -21,10 +21,10 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   const Index feat = args.src->cols;
   assert(args.out->cols == feat);
 
-  const bool full = args.mode == ExecMode::kFull && args.src->host && args.out->host;
+  const bool full = computes({args.src, args.edge_weight, args.out});
   Matrix* out = args.out->host;
   const Matrix* src = args.src->host;
-  const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
+  const Matrix* ew = args.edge_weight ? args.edge_weight->host : nullptr;
 
   if (full && args.zero_out) {
     if (args.reduce == Reduce::kMax) {

@@ -8,7 +8,8 @@
 
 namespace gnnbridge::models {
 
-GcnForwardCache gcn_forward_cached(const Csr& g, const Matrix& x, const GcnConfig& cfg,
+GcnForwardCache gcn_forward_cached(const Csr& g, const Matrix& x,
+                                   [[maybe_unused]] const GcnConfig& cfg,
                                    const GcnParams& params) {
   assert(x.cols() == cfg.dims.front());
   const std::vector<float> norm = gcn_edge_norm(g);
@@ -35,7 +36,7 @@ float mse_loss(const Matrix& out, const Matrix& target) {
   assert(out.rows() == target.rows() && out.cols() == target.cols());
   double acc = 0.0;
   for (Index i = 0; i < out.size(); ++i) {
-    const double d = static_cast<double>(out.data()[i]) - target.data()[i];
+    const double d = static_cast<double>(out.data()[i]) - static_cast<double>(target.data()[i]);
     acc += d * d;
   }
   return static_cast<float>(0.5 * acc / static_cast<double>(out.size()));

@@ -10,7 +10,7 @@
 
 namespace gnnbridge::models {
 
-Matrix gcn_forward_ref(const Csr& g, const Matrix& x, const GcnConfig& cfg,
+Matrix gcn_forward_ref(const Csr& g, const Matrix& x, [[maybe_unused]] const GcnConfig& cfg,
                        const GcnParams& params) {
   assert(x.cols() == cfg.dims.front());
   const std::vector<float> norm = gcn_edge_norm(g);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "prof/json_writer.hpp"
+#include "rt/file.hpp"
 
 namespace gnnbridge::obs {
 namespace {
@@ -20,21 +21,9 @@ void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev) {
 }
 
 void write_postmortem_file(const std::string& path, const std::string& doc) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write postmortem '%s': %s\n", path.c_str(), what);
-  };
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("rename into place failed");
+  if (const rt::Status s = rt::write_file_atomic(path, doc); !s.ok()) {
+    std::fprintf(stderr, "gnnbridge: cannot write postmortem '%s': %s\n", path.c_str(),
+                 s.message().c_str());
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "prof/json_writer.hpp"
+#include "rt/file.hpp"
 
 namespace gnnbridge::obs {
 
@@ -83,29 +84,12 @@ std::string EventJournal::to_jsonl() const {
 }
 
 rt::Status EventJournal::write_file(const std::string& path) const {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write event journal '%s': %s\n", path.c_str(), what);
-    return rt::Status(rt::StatusCode::kUnavailable, what)
-        .with_context("EventJournal::write_file('" + path + "')");
-  };
-  const std::string doc = to_jsonl();
-  // Crash-safe, like MetricsSink::write_file: the whole journal goes to a
-  // sibling temp file first, then an atomic rename — a kill mid-write
-  // never truncates a previously written journal.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
+  rt::Status s = rt::write_file_atomic(path, to_jsonl());
+  if (!s.ok()) {
+    std::fprintf(stderr, "gnnbridge: cannot write event journal '%s': %s\n", path.c_str(),
+                 s.message().c_str());
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail("rename into place failed");
-  }
-  return rt::OkStatus();
+  return std::move(s).with_context("EventJournal::write_file('" + path + "')");
 }
 
 }  // namespace gnnbridge::obs

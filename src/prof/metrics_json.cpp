@@ -15,6 +15,7 @@
 #include "prof/gap_report.hpp"
 #include "prof/json_writer.hpp"
 #include "rt/fault.hpp"
+#include "rt/file.hpp"
 #include "sim/timeline.hpp"
 
 namespace gnnbridge::prof {
@@ -397,28 +398,10 @@ rt::Status MetricsSink::write_file(const std::string& path) const {
       last = std::move(*fault);
       continue;
     }
-    const std::string doc = to_json();
-    // Crash-safe: write the whole document to a sibling temp file, then
-    // rename over the target. A process killed mid-write leaves the
-    // previous metrics file intact; the rename is atomic on POSIX.
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "gnnbridge: cannot write metrics file '%s'\n", tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, "cannot open for writing")
-          .with_context("MetricsSink::write_file('" + path + "')");
-    }
-    const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed) {
-      std::remove(tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, wrote ? "close failed" : "short write")
-          .with_context("MetricsSink::write_file('" + path + "')");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, "rename into place failed")
-          .with_context("MetricsSink::write_file('" + path + "')");
+    if (rt::Status s = rt::write_file_atomic(path, to_json()); !s.ok()) {
+      std::fprintf(stderr, "gnnbridge: cannot write metrics file '%s': %s\n", path.c_str(),
+                   s.message().c_str());
+      return std::move(s).with_context("MetricsSink::write_file('" + path + "')");
     }
     return rt::OkStatus();
   }

@@ -9,8 +9,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <string_view>
 
 namespace gnnbridge::sim {
 
@@ -35,13 +34,13 @@ struct Buffer {
 /// experiments are kernel-sequence-scoped anyway.
 class AddressSpace {
  public:
-  /// Allocates `bytes` of device memory; `name` is kept for debugging.
-  Buffer alloc(std::string name, std::uint64_t bytes) {
+  /// Allocates `bytes` of device memory. `name` labels the buffer at the
+  /// call site only; the space keeps nothing but the bump pointer.
+  Buffer alloc([[maybe_unused]] std::string_view name, std::uint64_t bytes) {
     constexpr std::uint64_t kAlign = 256;
     next_ = (next_ + kAlign - 1) / kAlign * kAlign;
     Buffer b{next_, bytes == 0 ? 1 : bytes};
     next_ += b.bytes;
-    names_.push_back(std::move(name));
     total_ += b.bytes;
     return b;
   }
@@ -54,7 +53,6 @@ class AddressSpace {
  private:
   std::uint64_t next_ = 1 << 20;  // leave page zero unused
   std::uint64_t total_ = 0;
-  std::vector<std::string> names_;
 };
 
 }  // namespace gnnbridge::sim

@@ -205,7 +205,7 @@ float dot(std::span<const float> a, std::span<const float> b) {
 float frobenius_norm(const Matrix& m) {
   double acc = 0.0;
   const float* p = m.data();
-  for (Index i = 0; i < m.size(); ++i) acc += static_cast<double>(p[i]) * p[i];
+  for (Index i = 0; i < m.size(); ++i) acc += static_cast<double>(p[i]) * static_cast<double>(p[i]);
   return static_cast<float>(std::sqrt(acc));
 }
 

@@ -51,8 +51,8 @@ TEST_P(AllDatasets, MaxOverAvgRatioRoughlyPreserved) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, AllDatasets, ::testing::ValuesIn(kAllDatasets),
-    [](const ::testing::TestParamInfo<DatasetId>& info) {
-      return std::string(dataset_name(info.param));
+    [](const ::testing::TestParamInfo<DatasetId>& dataset) {
+      return std::string(dataset_name(dataset.param));
     });
 
 TEST(Datasets, DensityOrderingPreserved) {

@@ -85,12 +85,12 @@ std::vector<Cell> all_cells() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, Figure7Cell, ::testing::ValuesIn(all_cells()),
-                         [](const ::testing::TestParamInfo<Cell>& info) {
-                           return std::string(graph::dataset_name(info.param.dataset)) + "_" +
-                                  std::string(models::model_name(info.param.model) ==
+                         [](const ::testing::TestParamInfo<Cell>& cell) {
+                           return std::string(graph::dataset_name(cell.param.dataset)) + "_" +
+                                  std::string(models::model_name(cell.param.model) ==
                                                       "GraphSAGE-LSTM"
                                                   ? "SAGE"
-                                                  : models::model_name(info.param.model));
+                                                  : models::model_name(cell.param.model));
                          });
 
 TEST(EndToEnd, UtilizationIsGpuRealistic) {

@@ -34,8 +34,7 @@ sim::KernelStats probe_aggregation(const graph::Dataset& d, const EngineConfig& 
                          .src = &src,
                          .out = &out,
                          .lanes = cfg.lanes,
-                         .atomic_merge = tasks.any_split,
-                         .mode = ExecMode::kSimulateOnly};
+                         .atomic_merge = tasks.any_split};
   return kernels::spmm_node(ctx, args);
 }
 

@@ -99,6 +99,27 @@ TEST_F(RunBatchEdge, DuplicateCallerRequestIdsAreDisambiguated) {
       << "third occurrence must be suffixed:\n" << jsonl;
 }
 
+TEST_F(RunBatchEdge, FaultPlanJobRetunesWithoutLasAfterItsLasDegradation) {
+  // Two las_cluster shots: the first fails the tune's own LAS pass and the
+  // job's ladder turns LAS off; the re-tune of the next ladder round
+  // follows that ladder, so the second shot never fires.
+  EngineConfig cfg;
+  cfg.auto_tune = true;
+  OptimizedEngine eng(cfg);
+  std::vector<OptimizedEngine::BatchJob> jobs = {clean_job()};
+  jobs[0].fault_plan = "las_cluster=2";
+  jobs[0].max_attempts = 1;
+  const auto results = eng.run_batch(jobs);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_TRUE(results[0].status.ok()) << results[0].status.to_string();
+  const auto degradations = prof::MetricsSink::instance().degradations();
+  ASSERT_EQ(degradations.size(), 1u);
+  EXPECT_EQ(degradations[0].knob, "las");
+  // The job-local tune skipped LAS, so it differs from the engine-wide
+  // tune and stays out of the shared cache.
+  EXPECT_EQ(eng.tuned_cache_size(), 0u);
+}
+
 TEST_F(RunBatchEdge, BreakerRecoversHalfOpenToClosedUnderConcurrentBatch) {
   par::set_max_threads(8);
   EngineConfig cfg;

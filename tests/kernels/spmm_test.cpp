@@ -158,14 +158,29 @@ TEST(SpmmNode, LanePaddingInflatesIssuedFlops) {
 }
 
 TEST(SpmmNode, SimulateOnlyLeavesOutputUntouched) {
-  SpmmHarness h(random_graph(20, 3.0, 23), 4, 25, false);
-  h.out_host.fill(42.0f);
-  const auto tasks = natural_tasks(h.csr);
-  SpmmArgs a = h.args(tasks, Reduce::kSum, false);
-  a.mode = ExecMode::kSimulateOnly;
-  const sim::KernelStats& ks = spmm_node(h.ctx, a);
-  EXPECT_EQ(h.out_host(5, 2), 42.0f);
-  EXPECT_GT(ks.l2_misses, 0u);  // trace still emitted
+  // The same launch twice on fresh devices: once on host-backed matrices,
+  // once on the same buffers with no host storage. The shape-only launch
+  // traces but does not compute, and its counters equal the host-backed
+  // launch's (traces are value-independent).
+  SpmmHarness full(random_graph(20, 3.0, 23), 4, 25, false);
+  SpmmHarness shape(random_graph(20, 3.0, 23), 4, 25, false);
+  shape.out_host.fill(42.0f);
+  shape.src.host = nullptr;
+  shape.out.host = nullptr;
+  const auto tasks = natural_tasks(full.csr);
+  const sim::KernelStats a = spmm_node(full.ctx, full.args(tasks, Reduce::kSum, false));
+  const sim::KernelStats b = spmm_node(shape.ctx, shape.args(tasks, Reduce::kSum, false));
+  EXPECT_EQ(shape.out_host(5, 2), 42.0f);
+  EXPECT_TRUE(tensor::allclose(
+      full.out_host, models::layer_sum(full.csr, full.src_host, full.weights(false))));
+  EXPECT_GT(b.l2_misses, 0u);  // trace still emitted
+  EXPECT_EQ(a.num_blocks, b.num_blocks);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.l2_misses, b.l2_misses);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_DOUBLE_EQ(a.flops, b.flops);
+  EXPECT_DOUBLE_EQ(a.issued_flops, b.issued_flops);
+  EXPECT_DOUBLE_EQ(a.cycles, b.cycles);
 }
 
 TEST(SpmmVendor, MatchesNodeParallelNumerics) {

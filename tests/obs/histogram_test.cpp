@@ -44,7 +44,9 @@ TEST(LogHistogramTest, BucketUppersAreMonotonicAndContainTheirValues) {
   for (double v : {1.0, 1.3, 2.0, 7.5, 100.0, 1024.0, 1e6, 1e12, 1e18}) {
     const int b = LogHistogram::bucket_of(v);
     EXPECT_LT(v, LogHistogram::bucket_upper(b)) << v;
-    if (b > 0) EXPECT_GE(v, LogHistogram::bucket_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GE(v, LogHistogram::bucket_upper(b - 1)) << v;
+    }
   }
 }
 

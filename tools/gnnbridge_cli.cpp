@@ -927,9 +927,10 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
       {"", 1, 1, true, false, false},
       {"", 4, 1, true, false, false},
       {"las_cluster=1", 1, 1, false, false, false},
-      // Two shots exhaust the job-local ladder (the tuner probe and the
-      // run each reach the LAS pass once); the second batch attempt's
-      // fresh ladder absorbs the spent plan — batch-retry coverage.
+      // Two shots: the first fails the tune's LAS pass and the job-local
+      // ladder turns LAS off; the next round re-tunes under that ladder,
+      // so no LAS pass runs again and one degradation absorbs the plan.
+      // The second batch attempt stays as unused budget.
       {"las_cluster=2", 1, 2, false, false, false},
       {"tuner_probe=1", 1, 1, false, false, false},
       {"tuner_probe=3", 1, 1, false, false, false},
