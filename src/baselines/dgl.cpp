@@ -96,7 +96,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
-  const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
+  const auto norm = ws.edge_norm(ctx, data.csr);
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {

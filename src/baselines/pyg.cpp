@@ -36,7 +36,7 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   // Canonical COO is (dst, src)-sorted — the same edge order as the CSR, so
   // the CSR-derived normalization aligns slot for slot.
-  const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
+  const auto norm = ws.edge_norm(ctx, data.csr);
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {

@@ -4,12 +4,14 @@
 // Backend API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "baselines/backend.hpp"
 #include "kernels/common.hpp"
+#include "models/common.hpp"
 #include "sim/context.hpp"
 
 namespace gnnbridge::baselines {
@@ -37,13 +39,21 @@ class Workspace {
     pool_.push_back(m);
     return kernels::device_mat(ctx, pool_.back(), label);
   }
-  /// A [v.size(), 1] mat holding a copy of `v`.
-  kernels::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v,
-                               const char* label) {
-    const auto rows = static_cast<models::Index>(v.size());
-    if (!full_) return kernels::device_mat_shape(ctx, rows, 1, label);
-    pool_.emplace_back(rows, 1, v);
-    return kernels::device_mat(ctx, pool_.back(), label);
+  /// The GCN edge-norm mat: `edges` per-edge normalizations, [edges, 1].
+  /// `build()` returns the values and runs only when the run computes, so a
+  /// simulate-only run allocates the same buffer without building the O(E)
+  /// vector.
+  template <typename Build>
+  kernels::FeatureMat edge_norm(sim::SimContext& ctx, std::size_t edges, Build&& build) {
+    const auto rows = static_cast<models::Index>(edges);
+    if (!full_) return kernels::device_mat_shape(ctx, rows, 1, "gcn_norm");
+    pool_.emplace_back(rows, 1, build());
+    return kernels::device_mat(ctx, pool_.back(), "gcn_norm");
+  }
+  /// The edge-norm mat of the whole graph `csr` (models::gcn_edge_norm).
+  kernels::FeatureMat edge_norm(sim::SimContext& ctx, const graph::Csr& csr) {
+    return edge_norm(ctx, static_cast<std::size_t>(csr.num_edges()),
+                     [&] { return models::gcn_edge_norm(csr); });
   }
 
  private:

@@ -784,7 +784,7 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
   Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
-  const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
+  const auto norm = ws.edge_norm(ctx, data.csr);
   const detail::GraphView view{&gdev, &grouped, sched.lanes};
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
@@ -821,7 +821,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const core::GroupedTasks grouped = group_tasks(data.csr, sched);
-  const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
+  const auto norm = ws.edge_norm(ctx, data.csr);
   const std::size_t layers = params.weight.size();
 
   // ---- Forward on the fused GCN steps, caching every layer for backward.

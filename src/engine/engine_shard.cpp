@@ -462,14 +462,19 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
 
   // The GCN edge norm uses *global* degrees; gather it through the local
   // edge -> global edge map so every local edge carries the exact float
-  // the unsharded run multiplies with.
-  const std::vector<float> norm_global = models::gcn_edge_norm(data.csr);
+  // the unsharded run multiplies with. The global norm is built once, by
+  // the first shard that computes.
+  std::vector<float> norm_global;
   for (ShardExec& se : sr.se) {
-    std::vector<float> norm_loc(se.sh->edge_origin.size());
-    for (std::size_t i = 0; i < se.sh->edge_origin.size(); ++i) {
-      norm_loc[i] = norm_global[static_cast<std::size_t>(se.sh->edge_origin[i])];
-    }
-    se.norm = se.ws.from_vec(*se.ctx, norm_loc, "gcn_norm");
+    const std::vector<graph::EdgeId>& origin = se.sh->edge_origin;
+    se.norm = se.ws.edge_norm(*se.ctx, origin.size(), [&] {
+      if (norm_global.empty()) norm_global = models::gcn_edge_norm(data.csr);
+      std::vector<float> norm_loc(origin.size());
+      for (std::size_t i = 0; i < origin.size(); ++i) {
+        norm_loc[i] = norm_global[static_cast<std::size_t>(origin[i])];
+      }
+      return norm_loc;
+    });
   }
 
   const std::size_t layers = run.params->weight.size();

@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -12,63 +13,30 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int ways, int line_byt
   const std::int64_t raw_sets = capacity_bytes / (static_cast<std::int64_t>(ways) * line_bytes);
   assert(raw_sets > 0);
   num_sets_ = 1 << (std::bit_width(static_cast<std::uint64_t>(raw_sets)) - 1);
-  set_shift_ = std::bit_width(static_cast<std::uint64_t>(line_bytes)) - 1;
+  line_shift_ = std::bit_width(static_cast<std::uint64_t>(line_bytes)) - 1;
   set_mask_ = static_cast<std::uint64_t>(num_sets_) - 1;
-  tags_.assign(static_cast<std::size_t>(num_sets_) * ways_, kEmpty);
-  stamps_.assign(tags_.size(), 0);
+  tags_.assign(static_cast<std::size_t>(num_sets_) * static_cast<std::size_t>(ways_), kEmpty);
 }
 
 bool SetAssocCache::access_line(std::uint64_t addr) {
-  const std::uint64_t line = addr >> set_shift_;
-  const std::uint64_t set = line & set_mask_;
-  std::uint64_t* tag = &tags_[set * static_cast<std::uint64_t>(ways_)];
-  std::uint64_t* stamp = &stamps_[set * static_cast<std::uint64_t>(ways_)];
-  ++tick_;
-
-  int victim = 0;
-  std::uint64_t oldest = ~0ull;
-  for (int w = 0; w < ways_; ++w) {
-    if (tag[w] == line) {
-      stamp[w] = tick_;
-      ++total_hits_;
-      return true;
-    }
-    if (tag[w] == kEmpty) {
-      // Prefer an empty way outright.
-      victim = w;
-      oldest = 0;
-    } else if (stamp[w] < oldest) {
-      victim = w;
-      oldest = stamp[w];
-    }
-  }
-  tag[victim] = line;
-  stamp[victim] = tick_;
-  ++total_misses_;
-  return false;
+  const bool hit = probe(line_of(addr));
+  count(hit ? 1 : 0, hit ? 0 : 1);
+  return hit;
 }
 
 CacheProbe SetAssocCache::access(std::uint64_t addr, std::uint32_t bytes) {
   CacheProbe p;
   if (bytes == 0) return p;
-  const std::uint64_t lb = static_cast<std::uint64_t>(line_bytes_);
-  const std::uint64_t first = addr / lb;
-  const std::uint64_t last = (addr + bytes - 1) / lb;
-  for (std::uint64_t line = first; line <= last; ++line) {
+  const std::uint64_t last = line_of(addr + bytes - 1);
+  for (std::uint64_t line = line_of(addr); line <= last; ++line) {
     ++p.lines;
-    if (access_line(line * lb)) {
-      ++p.hits;
-    } else {
-      ++p.misses;
-    }
+    if (probe(line)) ++p.hits;
   }
+  p.misses = p.lines - p.hits;
+  count(p.hits, p.misses);
   return p;
 }
 
-void SetAssocCache::clear() {
-  std::fill(tags_.begin(), tags_.end(), kEmpty);
-  std::fill(stamps_.begin(), stamps_.end(), 0);
-  tick_ = 0;
-}
+void SetAssocCache::clear() { std::fill(tags_.begin(), tags_.end(), kEmpty); }
 
 }  // namespace gnnbridge::sim

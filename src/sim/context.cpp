@@ -11,8 +11,61 @@
 
 namespace gnnbridge::sim {
 
+namespace {
+
+// Each turn a block advances kChunk accesses — roughly one scheduling
+// quantum of memory instructions.
+constexpr std::size_t kChunk = 8;
+
+// A kernel with fewer accesses replays on the calling thread: waking the
+// pool would cost more than the probes it splits.
+constexpr std::size_t kMinParallelAccesses = std::size_t{1} << 15;
+
+}  // namespace
+
 SimContext::SimContext(DeviceSpec spec)
     : spec_(spec), l2_(spec.l2_bytes, spec.l2_ways, spec.line_bytes) {}
+
+// Slot s holds the block currently occupying it; when a block's stream is
+// exhausted the next block in launch order takes the slot. Only lines of
+// sets [first_set, first_set + num_sets) are probed and counted.
+void SimContext::replay(const Kernel& kernel, std::uint64_t first_set, std::uint64_t num_sets,
+                        ReplayGroup& g) {
+  const std::size_t n = kernel.blocks.size();
+  const auto wave = static_cast<std::size_t>(spec_.total_block_slots());
+  g.lines.assign(n, {});
+  g.slots.clear();
+  std::size_t next_block = 0;
+  while (next_block < n && g.slots.size() < wave) g.slots.push_back({next_block++, 0});
+  while (!g.slots.empty()) {
+    for (std::size_t s = 0; s < g.slots.size();) {
+      ReplayGroup::Slot& slot = g.slots[s];
+      const std::vector<Access>& accesses = kernel.blocks[slot.block].accesses;
+      const std::size_t end = std::min(accesses.size(), slot.cursor + kChunk);
+      std::uint64_t probed = 0, hits = 0;
+      for (; slot.cursor < end; ++slot.cursor) {
+        const Access& a = accesses[slot.cursor];
+        if (a.bytes == 0) continue;
+        const std::uint64_t last = l2_.line_of(a.addr + a.bytes - 1);
+        for (std::uint64_t line = l2_.line_of(a.addr); line <= last; ++line) {
+          if (l2_.set_of(line) - first_set >= num_sets) continue;
+          ++probed;
+          hits += l2_.probe(line) ? 1 : 0;
+        }
+      }
+      g.lines[slot.block].hits += hits;
+      g.lines[slot.block].misses += probed - hits;
+      if (slot.cursor < accesses.size()) {
+        ++s;
+      } else if (next_block < n) {
+        slot = {next_block++, 0};
+        ++s;
+      } else {
+        g.slots.erase(g.slots.begin() + static_cast<std::ptrdiff_t>(s));
+      }
+    }
+  }
+}
 
 const KernelStats& SimContext::launch(Kernel kernel) {
   // Block-scheduling boundary: an expired deadline or cancelled token is
@@ -30,46 +83,31 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   ks.phase = std::move(kernel.phase);
   ks.num_blocks = static_cast<int>(kernel.blocks.size());
 
-  const int wave = spec_.total_block_slots();
   const std::size_t n = kernel.blocks.size();
 
   // --- Cache replay: interleave the access streams of co-resident blocks.
-  // Slot s holds the index of the block currently occupying it; when a
-  // block's stream is exhausted the next block in launch order takes the
-  // slot. Each turn a block advances kChunk accesses — roughly one
-  // scheduling quantum of memory instructions.
-  constexpr std::size_t kChunk = 8;
-  std::vector<std::uint64_t> hits(n, 0), misses(n, 0);
-  std::vector<std::size_t> cursor(n, 0);
-
-  std::vector<std::size_t> slots;
-  slots.reserve(static_cast<std::size_t>(wave));
-  std::size_t next_block = 0;
-  while (next_block < n && slots.size() < static_cast<std::size_t>(wave)) {
-    slots.push_back(next_block++);
-  }
-  while (!slots.empty()) {
-    for (std::size_t s = 0; s < slots.size();) {
-      const std::size_t b = slots[s];
-      const auto& accesses = kernel.blocks[b].accesses;
-      std::size_t done = 0;
-      while (cursor[b] < accesses.size() && done < kChunk) {
-        const Access& a = accesses[cursor[b]++];
-        const CacheProbe p = l2_.access(a.addr, a.bytes);
-        hits[b] += p.hits;
-        misses[b] += p.misses;
-        ++done;
-      }
-      if (cursor[b] >= accesses.size()) {
-        if (next_block < n) {
-          slots[s] = next_block++;
-          ++s;
-        } else {
-          slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
-        }
-      } else {
-        ++s;
-      }
+  // A set's LRU state depends only on the order of the accesses to that
+  // set, and the interleave only on each block's access count, so the sets
+  // split into contiguous groups that replay the same stream concurrently,
+  // each probing only its own sets. Per-block counts are integers, so the
+  // fold below is exact for any group count (DESIGN.md §11).
+  std::size_t accesses = 0;
+  for (const BlockWork& blk : kernel.blocks) accesses += blk.accesses.size();
+  const auto num_sets = static_cast<std::size_t>(l2_.num_sets());
+  const std::size_t groups =
+      accesses < kMinParallelAccesses || par::in_parallel_region()
+          ? 1
+          : std::min(static_cast<std::size_t>(par::max_threads()), num_sets);
+  if (groups_.size() < groups) groups_.resize(groups);
+  par::parallel_chunks(groups, 1, [&](std::size_t g, std::size_t, std::size_t) {
+    const std::size_t first = num_sets * g / groups;
+    replay(kernel, first, num_sets * (g + 1) / groups - first, groups_[g]);
+  });
+  std::vector<ReplayGroup::Lines>& lines = groups_[0].lines;
+  for (std::size_t g = 1; g < groups; ++g) {
+    for (std::size_t b = 0; b < n; ++b) {
+      lines[b].hits += groups_[g].lines[b].hits;
+      lines[b].misses += groups_[g].lines[b].misses;
     }
   }
 
@@ -101,12 +139,13 @@ const KernelStats& SimContext::launch(Kernel kernel) {
         for (std::size_t b = begin; b < end; ++b) {
           const auto& blk = kernel.blocks[b];
           const Cycles compute = blk.issued_flops / spec_.flops_per_cycle_per_block;
-          const Cycles memory = (static_cast<double>(hits[b]) * spec_.l2_hit_cycles_per_line +
-                                 static_cast<double>(misses[b]) * spec_.dram_cycles_per_line) *
-                                bw_share;
+          const Cycles memory =
+              (static_cast<double>(lines[b].hits) * spec_.l2_hit_cycles_per_line +
+               static_cast<double>(lines[b].misses) * spec_.dram_cycles_per_line) *
+              bw_share;
           durations[b] = std::max(compute, memory) + blk.extra_cycles;
-          shard.l2_hits += hits[b];
-          shard.l2_misses += misses[b];
+          shard.l2_hits += lines[b].hits;
+          shard.l2_misses += lines[b].misses;
           shard.flops += blk.flops;
           shard.issued_flops += blk.issued_flops;
           shard.atomic_cycles += blk.atomic_cycles;
@@ -131,6 +170,7 @@ const KernelStats& SimContext::launch(Kernel kernel) {
     ks.copy_flops += shard.copy_flops;
     ks.tile_flops += shard.tile_flops;
   }
+  l2_.count(ks.l2_hits, ks.l2_misses);
   ks.dram_bytes = ks.l2_misses * static_cast<std::uint64_t>(spec_.line_bytes);
 
   ScheduleResult sched = schedule_blocks(durations, spec_.total_block_slots());
@@ -152,6 +192,7 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   span.arg("blocks", ks.num_blocks);
   span.arg("l2_hit_rate", ks.l2_hit_rate());
   span.arg("flops", ks.flops);
+  span.arg("l2_lines", static_cast<double>(ks.l2_hits + ks.l2_misses));
 
   stats_.total_cycles += ks.cycles;
   rt::charge_sim_cycles(ks.cycles);  // advance the job's deadline clock

@@ -8,6 +8,10 @@
 // stays warm across kernels, as on real hardware.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "sim/cache.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
@@ -39,10 +43,27 @@ class SimContext {
   void clear_cache() { l2_.clear(); }
 
  private:
+  /// One set group's replay scratch, reused across launches: per-block
+  /// line counts, and the co-resident blocks with their cursors.
+  struct ReplayGroup {
+    struct Lines {
+      std::uint64_t hits = 0, misses = 0;
+    };
+    struct Slot {
+      std::size_t block, cursor;
+    };
+    std::vector<Lines> lines;
+    std::vector<Slot> slots;
+  };
+
+  void replay(const Kernel& kernel, std::uint64_t first_set, std::uint64_t num_sets,
+              ReplayGroup& g);
+
   DeviceSpec spec_;
   AddressSpace mem_;
   SetAssocCache l2_;
   RunStats stats_;
+  std::vector<ReplayGroup> groups_;
 };
 
 }  // namespace gnnbridge::sim

@@ -16,13 +16,17 @@ namespace {
 using kernels::ExecMode;
 using kernels::FeatureMat;
 
-/// One fixed sequence of mat/from/from_vec calls on a fresh device.
+/// One fixed sequence of mat/from/edge_norm calls on a fresh device;
+/// `builds` counts the edge-norm builds.
 std::vector<FeatureMat> allocate(sim::SimContext& ctx, Workspace& ws, const Matrix& m,
-                                 const std::vector<float>& v) {
+                                 const std::vector<float>& v, int& builds) {
   std::vector<FeatureMat> mats;
   mats.push_back(ws.from(ctx, m, "x"));
   mats.push_back(ws.mat(ctx, 37, 5, "transformed"));
-  mats.push_back(ws.from_vec(ctx, v, "norm"));
+  mats.push_back(ws.edge_norm(ctx, v.size(), [&] {
+    ++builds;
+    return v;
+  }));
   mats.push_back(ws.mat(ctx, 1, 1, "scalar"));
   mats.push_back(ws.from(ctx, m, "copy"));
   return mats;
@@ -35,8 +39,11 @@ TEST(Workspace, SimulateOnlyAllocatesTheSameBuffersWithoutHostStorage) {
   sim::SimContext shape_ctx(sim::v100());
   Workspace full_ws(ExecMode::kFull);
   Workspace shape_ws(ExecMode::kSimulateOnly);
-  const std::vector<FeatureMat> full = allocate(full_ctx, full_ws, m, v);
-  const std::vector<FeatureMat> shape = allocate(shape_ctx, shape_ws, m, v);
+  int full_builds = 0, shape_builds = 0;
+  const std::vector<FeatureMat> full = allocate(full_ctx, full_ws, m, v, full_builds);
+  const std::vector<FeatureMat> shape = allocate(shape_ctx, shape_ws, m, v, shape_builds);
+  EXPECT_EQ(full_builds, 1);
+  EXPECT_EQ(shape_builds, 0);
 
   ASSERT_EQ(full.size(), shape.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
@@ -56,7 +63,8 @@ TEST(Workspace, FullModeCopiesTheInputsAndZeroFillsNewMats) {
   const std::vector<float> v = {1.0f, 2.0f};
   sim::SimContext ctx(sim::v100());
   Workspace ws(ExecMode::kFull);
-  const std::vector<FeatureMat> mats = allocate(ctx, ws, m, v);
+  int builds = 0;
+  const std::vector<FeatureMat> mats = allocate(ctx, ws, m, v, builds);
   EXPECT_EQ(*mats[0].host, m);
   EXPECT_NE(mats[0].host, &m);
   EXPECT_EQ((*mats[1].host)(36, 4), 0.0f);

@@ -72,8 +72,13 @@ TEST(StatusTest, EqualityIgnoresContext) {
   EXPECT_FALSE(a == Status(StatusCode::kNotFound, "different"));
 }
 
+Result<int> half(int x) {
+  if (x % 2 != 0) return Status(StatusCode::kInvalidArgument, "odd");
+  return x / 2;
+}
+
 TEST(ResultTest, HoldsValue) {
-  Result<int> r(42);
+  Result<int> r = half(84);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(*r, 42);

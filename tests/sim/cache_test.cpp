@@ -2,8 +2,72 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <tuple>
+#include <vector>
+
 namespace gnnbridge::sim {
 namespace {
+
+/// The reference LRU: per-way timestamps, a hit refreshes its way's stamp,
+/// a miss fills the last empty way of the set or else evicts the oldest
+/// stamp. Same geometry as SetAssocCache (sets rounded down to a power of
+/// two).
+class StampLru {
+ public:
+  StampLru(std::int64_t capacity_bytes, int ways, int line_bytes)
+      : ways_(ways), line_bytes_(static_cast<std::uint64_t>(line_bytes)) {
+    const std::int64_t raw_sets = capacity_bytes / (std::int64_t{ways} * line_bytes);
+    num_sets_ = std::uint64_t{1} << (std::bit_width(static_cast<std::uint64_t>(raw_sets)) - 1);
+    tags_.assign(num_sets_ * static_cast<std::uint64_t>(ways_), kEmpty);
+    stamps_.assign(tags_.size(), 0);
+  }
+
+  bool access_line(std::uint64_t addr) {
+    const std::uint64_t line = addr / line_bytes_;
+    const std::uint64_t set = line % num_sets_;
+    std::uint64_t* tag = &tags_[set * static_cast<std::uint64_t>(ways_)];
+    std::uint64_t* stamp = &stamps_[set * static_cast<std::uint64_t>(ways_)];
+    ++tick_;
+    int victim = 0;
+    std::uint64_t oldest = ~0ull;
+    for (int w = 0; w < ways_; ++w) {
+      if (tag[w] == line) {
+        stamp[w] = tick_;
+        return true;
+      }
+      if (tag[w] == kEmpty) {
+        victim = w;
+        oldest = 0;
+      } else if (stamp[w] < oldest) {
+        victim = w;
+        oldest = stamp[w];
+      }
+    }
+    tag[victim] = line;
+    stamp[victim] = tick_;
+    return false;
+  }
+
+  void clear() {
+    std::fill(tags_.begin(), tags_.end(), kEmpty);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    tick_ = 0;
+  }
+
+  std::uint64_t num_sets() const { return num_sets_; }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ull;
+  int ways_;
+  std::uint64_t line_bytes_;
+  std::uint64_t num_sets_ = 0;
+  std::vector<std::uint64_t> tags_, stamps_;
+  std::uint64_t tick_ = 0;
+};
 
 TEST(Cache, FirstTouchMisses) {
   SetAssocCache c(1024, 2, 64);
@@ -93,6 +157,56 @@ TEST(Cache, WorkingSetWithinCapacityReuses) {
   EXPECT_EQ(c.total_misses(), 32u);
   EXPECT_EQ(c.total_hits(), 96u);
 }
+
+// (ways, raw set count): 6 and 6144 raw sets round down to 4 and 4096.
+class CacheOracle : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CacheOracle, AgreesWithStampLruOnEveryProbe) {
+  const auto [ways, raw_sets] = GetParam();
+  constexpr int kLine = 64;
+  const std::int64_t capacity = std::int64_t{raw_sets} * ways * kLine;
+  SetAssocCache cache(capacity, ways, kLine);
+  StampLru ref(capacity, ways, kLine);
+  ASSERT_EQ(static_cast<std::uint64_t>(cache.num_sets()), ref.num_sets());
+  // Enough distinct lines to overflow every set by a few ways, so the
+  // streams exercise fills, hits, reordering and evictions.
+  const std::uint64_t footprint = ref.num_sets() * static_cast<std::uint64_t>(ways + 3);
+
+  std::mt19937_64 rng(0x5eed + static_cast<std::uint64_t>(ways * 131 + raw_sets));
+  std::vector<std::uint64_t> addrs;
+  const std::uint64_t capacity_lines = ref.num_sets() * static_cast<std::uint64_t>(ways);
+  for (int i = 0; i < 20000; ++i) {
+    // Mostly lines of a capacity-sized hot range, so hits are common, with
+    // random offsets inside the line.
+    const std::uint64_t line = rng() % 4 != 0 ? rng() % capacity_lines : rng() % footprint;
+    addrs.push_back(line * kLine + rng() % kLine);
+  }
+  // Strided sweeps over a range that fits and one that thrashes.
+  for (const std::uint64_t range : {footprint / 2, footprint}) {
+    for (const std::uint64_t stride : {1u, 3u, 17u, 64u}) {
+      for (std::uint64_t i = 0; i < 2 * range; ++i) addrs.push_back(i * stride % range * kLine);
+    }
+  }
+
+  std::uint64_t hits = 0, misses = 0;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    if (i == addrs.size() / 2) {
+      cache.clear();
+      ref.clear();
+    }
+    const bool expect = ref.access_line(addrs[i]);
+    ASSERT_EQ(cache.access_line(addrs[i]), expect) << "probe " << i << " addr " << addrs[i];
+    (expect ? hits : misses) += 1;
+  }
+  EXPECT_EQ(cache.total_hits(), hits);
+  EXPECT_EQ(cache.total_misses(), misses);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(WaysSets, CacheOracle,
+                         ::testing::Combine(::testing::Values(1, 2, 4, 16),
+                                            ::testing::Values(8, 6, 6144)));
 
 }  // namespace
 }  // namespace gnnbridge::sim

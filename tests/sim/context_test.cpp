@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "prof/tracer.hpp"
+
 namespace gnnbridge::sim {
 namespace {
 
@@ -57,6 +61,31 @@ TEST(Context, CountersAccumulateAcrossKernels) {
   EXPECT_EQ(ctx.stats().total_misses(), 4u);
   EXPECT_EQ(ctx.stats().total_hits(), 8u);
   EXPECT_DOUBLE_EQ(ctx.stats().total_flops(), 30.0);
+}
+
+TEST(Context, LaunchSpanCarriesL2Lines) {
+  prof::Tracer& tracer = prof::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  SimContext ctx(tiny_device());
+  const Buffer buf = ctx.mem().alloc("data", 4096);
+  Kernel k;
+  k.name = "touch";
+  BlockWork blk;
+  blk.read(buf, 0, 256);
+  blk.read(buf, 32, 64);  // straddles lines 0 and 1
+  k.blocks.push_back(blk);
+  ctx.launch(std::move(k));
+  tracer.set_enabled(false);
+  const auto spans = tracer.snapshot();
+  tracer.clear();
+
+  ASSERT_EQ(spans.size(), 1u);
+  const auto& args = spans[0].args;
+  const auto it = std::find_if(args.begin(), args.end(),
+                               [](const auto& a) { return a.first == "l2_lines"; });
+  ASSERT_NE(it, args.end());
+  EXPECT_EQ(it->second, 6.0);
 }
 
 TEST(Context, ClearCacheColdStarts) {

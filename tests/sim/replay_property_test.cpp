@@ -3,7 +3,11 @@
 // invariants every reproduced figure silently relies on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <thread>
+
 #include "kernels/spmm.hpp"
+#include "par/thread_pool.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::sim {
@@ -107,6 +111,75 @@ TEST(CostModel, LaunchOverheadFloorsTinyKernels) {
   const graph::Csr g = gnnbridge::testing::csr_from_edges(2, {{0, 1}});
   const KernelStats ks = run_spmm(g, 4, 32, Storage::kShapeOnly);
   EXPECT_GE(ks.cycles, v100().kernel_launch_cycles);
+}
+
+/// One SpMM launched twice on one context: the second launch starts from
+/// the L2 the first one left.
+struct ColdWarm {
+  KernelStats cold, warm;
+};
+
+ColdWarm run_spmm_twice(const graph::Csr& csr) {
+  SimContext ctx;
+  const auto gdev = k::device_graph(ctx, csr, "g");
+  auto src = k::device_mat_shape(ctx, csr.num_nodes, 48, "src");
+  auto out = k::device_mat_shape(ctx, csr.num_nodes, 48, "out");
+  const auto tasks = k::natural_tasks(csr);
+  const k::SpmmArgs args{.graph = &gdev, .tasks = tasks, .src = &src, .out = &out, .lanes = 32};
+  ColdWarm r;
+  r.cold = k::spmm_node(ctx, args);
+  r.warm = k::spmm_node(ctx, args);
+  return r;
+}
+
+void expect_same_kernel(const KernelStats& a, const KernelStats& b) {
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.l2_misses, b.l2_misses);
+  EXPECT_EQ(a.cycles, b.cycles);
+  const auto& ia = a.timeline.intervals();
+  const auto& ib = b.timeline.intervals();
+  ASSERT_EQ(ia.size(), ib.size());
+  for (std::size_t i = 0; i < ia.size(); ++i) {
+    EXPECT_EQ(ia[i].t0, ib[i].t0);
+    EXPECT_EQ(ia[i].t1, ib[i].t1);
+    EXPECT_EQ(ia[i].active, ib[i].active);
+  }
+}
+
+class PartitionedReplay : public ::testing::Test {
+ protected:
+  void TearDown() override { par::set_max_threads(0); }
+};
+
+// The replay splits the L2 sets into one group per pool participant; a
+// kernel this size is far above the size below which it stays on one
+// thread. The outcome must not depend on the split, nor on whether the
+// launch runs nested inside another parallel region (one group).
+TEST_F(PartitionedReplay, CountsAndTimelinesIndependentOfThreadCount) {
+  const graph::Csr g = random_graph(20000, 12.0, 17);
+  par::set_max_threads(1);
+  const ColdWarm ref = run_spmm_twice(g);
+  ASSERT_GT(ref.cold.l2_misses, 0u);
+  ASSERT_GT(ref.warm.l2_hits, ref.cold.l2_hits);
+
+  const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (const int threads : {2, 3, hw}) {
+    SCOPED_TRACE(threads);
+    par::set_max_threads(threads);
+    const ColdWarm r = run_spmm_twice(g);
+    expect_same_kernel(ref.cold, r.cold);
+    expect_same_kernel(ref.warm, r.warm);
+  }
+
+  par::set_max_threads(std::max(hw, 2));
+  std::array<ColdWarm, 2> nested;
+  par::parallel_chunks(nested.size(), 1, [&](std::size_t c, std::size_t, std::size_t) {
+    nested[c] = run_spmm_twice(g);
+  });
+  for (const ColdWarm& r : nested) {
+    expect_same_kernel(ref.cold, r.cold);
+    expect_same_kernel(ref.warm, r.warm);
+  }
 }
 
 }  // namespace

@@ -480,13 +480,14 @@ int cmd_triage(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) {
+  std::ifstream in(journal_path, std::ios::binary | std::ios::ate);
+  const std::streamoff journal_size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  std::string journal_text(journal_size > 0 ? static_cast<std::size_t>(journal_size) : 0, '\0');
+  if (journal_size < 0 || !in.seekg(0) ||
+      !in.read(journal_text.data(), static_cast<std::streamsize>(journal_text.size()))) {
     std::fprintf(stderr, "gnnbridge_cli: cannot read journal '%s'\n", journal_path.c_str());
     return 1;
   }
-  std::string journal_text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
   auto events = prof::parse_journal_jsonl(journal_text);
   if (!events.ok()) {
     std::fprintf(stderr, "gnnbridge_cli: journal '%s': %s\n", journal_path.c_str(),
